@@ -11,7 +11,6 @@ Cohen-Macaulay posets, directly from Moebius values.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bitsets import SquarefreeMonomial, monomial
@@ -198,9 +197,7 @@ def _interval_entries(
     return [(d + 2, deg, v) for d, v in profile.nonzero.items()]
 
 
-def betti_via_intervals(
-    p: SubsetPoset, fieldspec: FieldSpec = GF2, threads: int = 1
-) -> BettiTable:
+def betti_via_intervals(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTable:
     """Multigraded Betti numbers of the dual ideal from interval homology.
 
     beta_0 contributes one generator per poset element in degree
@@ -212,19 +209,9 @@ def betti_via_intervals(
     entries: dict[tuple[int, SquarefreeMonomial], int] = {}
     for a in p.elements:
         entries[(0, monomial(a, a))] = 1
-    pairs = _comparable_pairs(p)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(
-                lambda ij: _interval_entries(p, ij[0], ij[1], fieldspec), pairs
-            )
-            for chunk in chunks:
-                for i, deg, v in chunk:
-                    entries[(i, deg)] = v
-    else:
-        for a, b in pairs:
-            for i, deg, v in _interval_entries(p, a, b, fieldspec):
-                entries[(i, deg)] = v
+    for a, b in _comparable_pairs(p):
+        for i, deg, v in _interval_entries(p, a, b, fieldspec):
+            entries[(i, deg)] = v
     return BettiTable(n=p.n, entries=entries)
 
 

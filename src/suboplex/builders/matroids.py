@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..bitsets import Subset
 from ..errors import CapExceededError, ValidationError
-from ..linalg import rank_modp_dense
+from ..linalg import FieldSpec, rank_from_columns
 from ..posets import SubsetPoset
 
 FLATS_MAX_GROUND = 16
@@ -114,9 +114,12 @@ class LinearMatroid(Matroid):
         heights = {len(c) for c in columns}
         if len(heights) != 1:
             raise ValidationError("matrix columns must all have the same height")
+        if not isinstance(p, int):
+            raise ValidationError(f"field characteristic must be a prime integer, got {p!r}")
+        self.field = FieldSpec(p)
         self.p = p
         self.columns = tuple(tuple(int(x) % p for x in c) for c in columns)
-        rank_modp_dense([self.columns[0]], p)  # validates that p is prime
+        self._sparse = tuple([(r, x) for r, x in enumerate(c) if x] for c in self.columns)
 
     @classmethod
     def from_rows(cls, p: int, rows: list[list[int]]) -> "LinearMatroid":
@@ -129,10 +132,8 @@ class LinearMatroid(Matroid):
         return cls(p, columns)
 
     def _rank_mask(self, mask: int) -> int:
-        chosen = [self.columns[i] for i in range(self.m) if mask >> i & 1]
-        if not chosen:
-            return 0
-        return rank_modp_dense(chosen, self.p)
+        chosen = [self._sparse[i] for i in range(self.m) if mask >> i & 1]
+        return rank_from_columns(chosen, len(self.columns[0]), self.field)
 
 
 class GraphicMatroid(Matroid):

@@ -185,7 +185,7 @@ def _betti_table(loaded: _Loaded, args: argparse.Namespace) -> BettiTable:
                         "mobius method requires an interval Cohen-Macaulay poset"
                     )
                 return betti_via_mobius(poset, interval_cm_checked=True)
-            return betti_via_intervals(poset, field, threads=args.threads)
+            return betti_via_intervals(poset, field)
         if method != "auto":
             raise ValidationError(f"method {method!r} requires an intersection-closed poset")
     return betti_oracle(dual_ideal(loaded.as_class()), field)
@@ -321,7 +321,6 @@ def _add_io_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", help="path to a JSON input document")
     sub.add_argument("--build", help="inline build spec KIND:JSON")
     sub.add_argument("--field", help="coefficient field: a prime or Q (default 2)")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads for interval work")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,28 +1,32 @@
 """Exact linear algebra over prime fields GF(p) and the rationals.
 
-Everything here computes ranks of matrices given as sparse columns:
-each column is a list of (row_index, coefficient) pairs with integer
-coefficients.  Over GF(2) columns are packed into Python integers and
-eliminated with XOR; large instances switch to a bit-packed numpy
-elimination.  Over GF(p) small matrices use pure-Python modular
-elimination and large ones a vectorised numpy routine.  Rationals use
-``fractions.Fraction`` (exact, for small instances only).
+Ranks are computed by one sparse column reduction, the one persistent
+homology uses (Edelsbrunner-Harer, *Computational Topology*, ch. VII).
+Columns are reduced one at a time against a dict of pivots keyed by
+row.  A column's pivot is its *highest* nonzero row index: while the
+pivot dict already holds a column with the same pivot, that column is
+subtracted to clear the entry; a column left nonzero becomes a new
+pivot, and one reduced to zero is dependent.  The rank is the number
+of pivots.  The pivot side matters for speed, not for the result: on
+the boundary matrices of kcnf(d=3, k=2), pivoting on the lowest row
+instead made ``betti --field 2`` take 5.8 s rather than 2.5 s.
+
+Over GF(2) a column is a Python int bit mask, reduced with XOR.  Over
+GF(p) and Q it is a ``{row: coefficient}`` dict, with coefficients
+reduced mod p or kept as ``fractions.Fraction``; pivots are stored
+scaled to a leading coefficient of 1.  Memory is proportional to the
+nonzeros, never to rows times columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .errors import ValidationError
 
-SparseColumn = Sequence[tuple[int, int]]
-
-# Above this many matrix cells, switch to the numpy eliminations.
-_DENSE_SWITCH = 1 << 21
+SparseColumn = Iterable[tuple[int, int]]
 
 
 def _is_prime(p: int) -> bool:
@@ -73,181 +77,58 @@ GF3 = FieldSpec(3)
 QQ = FieldSpec(None)
 
 
-def rank_gf2(vectors: list[int], nbits: int) -> int:
-    """Rank over GF(2) of vectors given as bit masks of width ``nbits``."""
-    if not vectors or nbits == 0:
-        return 0
-    if len(vectors) * nbits > _DENSE_SWITCH:
-        return _rank_gf2_packed(vectors, nbits)
-    pivots: dict[int, int] = {}
-    rank = 0
-    for v in vectors:
-        while v:
-            low = v & -v
-            p = pivots.get(low)
-            if p is None:
-                pivots[low] = v
-                rank += 1
-                break
-            v ^= p
-    return rank
-
-
-def _rank_gf2_packed(vectors: list[int], nbits: int) -> int:
-    words = (nbits + 63) // 64
-    a = np.zeros((len(vectors), words), dtype=np.uint64)
-    nbytes = words * 8
-    for i, v in enumerate(vectors):
-        a[i] = np.frombuffer(v.to_bytes(nbytes, "little"), dtype=np.uint64)
-    m = len(vectors)
-    rank = 0
-    for bit in range(nbits):
-        w, b = divmod(bit, 64)
-        mask = np.uint64(1 << b)
-        col = a[rank:, w] & mask
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        below = np.nonzero(a[rank + 1 :, w] & mask)[0]
-        if below.size:
-            a[rank + 1 + below] ^= a[rank]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def _rank_modp_small(rows: list[list[int]], p: int) -> int:
-    nrows = len(rows)
-    if nrows == 0:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if rows[r][c] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = pow(prow[c], -1, p)
-        for j in range(c, ncols):
-            prow[j] = prow[j] * inv % p
-        for r in range(rank + 1, nrows):
-            f = rows[r][c] % p
-            if f:
-                row = rows[r]
-                for j in range(c, ncols):
-                    row[j] = (row[j] - f * prow[j]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rank_modp_numpy(a: np.ndarray, p: int) -> int:
-    a = np.remainder(a.astype(np.int64), p)
-    nrows, ncols = a.shape
-    rank = 0
-    for c in range(ncols):
-        col = a[rank:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, c]), -1, p)
-        a[rank] = a[rank] * inv % p
-        below = a[rank + 1 :, c]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            idx = rank + 1 + hit
-            a[idx] = (a[idx] - np.outer(a[idx, c], a[rank])) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rank_rational(rows: list[list[Fraction]]) -> int:
-    nrows = len(rows)
-    if nrows == 0:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if rows[r][c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[c]
-        for j in range(c, ncols):
-            prow[j] *= inv
-        for r in range(rank + 1, nrows):
-            f = rows[r][c]
-            if f:
-                row = rows[r]
-                for j in range(c, ncols):
-                    row[j] -= f * prow[j]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
 def rank_from_columns(
     columns: Sequence[SparseColumn], nrows: int, field: FieldSpec
 ) -> int:
-    """Rank of the matrix whose columns are sparse (row, coeff) lists."""
-    ncols = len(columns)
-    if ncols == 0 or nrows == 0:
-        return 0
-    if field.p == 2:
-        vecs = []
+    """Rank of the matrix whose columns are sparse (row, coeff) lists.
+
+    Row indices lie in ``range(nrows)``; a row repeated within a column
+    has its coefficients added.
+    """
+    p = field.p
+    if p == 2:
+        bits: dict[int, int] = {}
         for col in columns:
             v = 0
-            for r, _ in col:
-                v ^= 1 << r
-            vecs.append(v)
-        return rank_gf2(vecs, nrows)
-    if field.p is not None:
-        p = field.p
-        if ncols * nrows > _DENSE_SWITCH:
-            a = np.zeros((ncols, nrows), dtype=np.int64)
-            for i, col in enumerate(columns):
-                for r, coeff in col:
-                    a[i, r] = coeff % p
-            return _rank_modp_numpy(a, p)
-        rows = [[0] * nrows for _ in range(ncols)]
-        for i, col in enumerate(columns):
-            row = rows[i]
-            for r, coeff in col:
-                row[r] = coeff % p
-        return _rank_modp_small(rows, p)
-    rows_q = [[Fraction(0)] * nrows for _ in range(ncols)]
-    for i, col in enumerate(columns):
-        for r, coeff in col:
-            rows_q[i][r] = Fraction(coeff)
-    return _rank_rational(rows_q)
+            for r, c in col:
+                if c & 1:
+                    v ^= 1 << r
+            while v:
+                top = v.bit_length() - 1
+                u = bits.get(top)
+                if u is None:
+                    bits[top] = v
+                    break
+                v ^= u
+        return len(bits)
 
-
-def rank_modp_dense(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over GF(p) of a dense integer matrix given by rows."""
-    if not _is_prime(p):
-        raise ValidationError(f"field characteristic must be prime, got {p}")
-    mat = [list(map(int, r)) for r in rows]
-    if not mat:
-        return 0
-    return _rank_modp_small(mat, p)
+    pivots: dict[int, dict[int, int | Fraction]] = {}
+    for col in columns:
+        v: dict[int, int | Fraction] = {}
+        for r, c in col:
+            x = v.get(r, 0) + c
+            if p:
+                x %= p
+            if x:
+                v[r] = x
+            else:
+                v.pop(r, None)
+        while v:
+            top = max(v)
+            u = pivots.get(top)
+            if u is None:
+                inv = pow(v[top], -1, p) if p else 1 / Fraction(v[top])
+                pivots[top] = {
+                    r: x * inv % p if p else x * inv for r, x in v.items()
+                }
+                break
+            f = v[top]
+            for r, c in u.items():
+                x = v.get(r, 0) - f * c
+                if p:
+                    x %= p
+                if x:
+                    v[r] = x
+                else:
+                    del v[r]
+    return len(pivots)

@@ -254,11 +254,7 @@ class SubsetPoset:
         return Interval(lo=a, hi=b, members=self.restrict(members), is_open=open)
 
     def mobius(self, a: Subset, b: Subset) -> int:
-        """Moebius value mu(a, b) of the induced order, memoized per pair.
-
-        Memo writes are idempotent (each value is computed from a local
-        table before being stored), so concurrent queries are safe.
-        """
+        """Moebius value mu(a, b) of the induced order, memoized per pair."""
         self._require_member(a)
         self._require_member(b)
         if a.bits & b.bits != a.bits:

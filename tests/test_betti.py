@@ -125,10 +125,6 @@ class TestBettiViaIntervals:
         with pytest.raises(ValidationError):
             betti_via_intervals(SubsetPoset.from_strings(["10", "01"]))
 
-    def test_threads_do_not_change_result(self):
-        p = u11_u23_flats()
-        assert betti_via_intervals(p, threads=4) == betti_via_intervals(p)
-
 
 class TestBettiViaMobius:
     def test_flagship_matches_intervals(self):

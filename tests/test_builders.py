@@ -46,6 +46,11 @@ class TestMatroidRank:
         m = u11_u23_matrix()
         assert m.rank(S("1111")) == 3
 
+    def test_linear_needs_prime_field(self):
+        for p in (4, 1, 0, -3, None, "2"):
+            with pytest.raises(ValidationError):
+                LinearMatroid(p, [(1, 0), (0, 1)])
+
     def test_graphic_triangle(self):
         m = u11_u23_graph()
         assert m.rank(S("0111")) == 2

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import suboplex
 from suboplex.bundled import U11_U23_BETTI_TEXT
 from suboplex.cli import main
 
@@ -74,12 +79,6 @@ class TestBetti:
         _, fast, _ = run(capsys, "betti", "--input", flag_poset_file)
         _, slow, _ = run(capsys, "oracle", "betti", "--input", flag_poset_file)
         assert fast == slow
-
-    def test_threads_flag(self, capsys, flag_poset_file):
-        code, out, _ = run(
-            capsys, "betti", "--input", flag_poset_file, "--threads", "4"
-        )
-        assert code == 0 and out == U11_U23_BETTI_TEXT
 
     def test_deterministic(self, capsys, flag_poset_file):
         outs = {
@@ -243,3 +242,13 @@ class TestErrors:
             capsys, "vcdim", "--input", flag_poset_file, "--build", "cube:{}"
         )
         assert code == 1 and "exactly one" in err
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(suboplex.__file__).resolve().parent.parent)
+    code = "import suboplex.cli, sys; assert 'numpy' not in sys.modules"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr

@@ -175,17 +175,6 @@ def verify_acyclic(
     return True
 
 
-def _comparable_pairs(p: SubsetPoset) -> list[tuple[int, int]]:
-    pairs = []
-    for i in range(len(p)):
-        rest = p._up_strict[i]
-        while rest:
-            j = rest.bit_length() - 1
-            rest ^= 1 << j
-            pairs.append((i, j))
-    return pairs
-
-
 def _interval_entries(
     p: SubsetPoset, i: int, j: int, fieldspec: FieldSpec
 ) -> list[tuple[int, SquarefreeMonomial, int]]:
@@ -209,7 +198,7 @@ def betti_via_intervals(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTabl
     entries: dict[tuple[int, SquarefreeMonomial], int] = {}
     for a in p.elements:
         entries[(0, monomial(a, a))] = 1
-    for a, b in _comparable_pairs(p):
+    for a, b, _, _ in p.interval_ranks():
         for i, deg, v in _interval_entries(p, a, b, fieldspec):
             entries[(i, deg)] = v
     return BettiTable(n=p.n, entries=entries)
@@ -234,11 +223,10 @@ def betti_via_mobius(p: SubsetPoset, interval_cm_checked: bool = False) -> Betti
     entries: dict[tuple[int, SquarefreeMonomial], int] = {}
     for a in p.elements:
         entries[(0, monomial(a, a))] = 1
-    for i, j in _comparable_pairs(p):
+    for i, j, rank, _ in p.interval_ranks():
         a, b = p.elements[i], p.elements[j]
         mu = p.mobius(a, b)
         if mu:
-            rank = p.interval(a, b).members.rank()
             entries[(rank, monomial(a, b))] = abs(mu)
     return BettiTable(n=p.n, entries=entries)
 
@@ -250,16 +238,14 @@ def _hdim_of_poset(p: SubsetPoset, fieldspec: FieldSpec) -> int:
     intervals are visited by decreasing rank with the running best used
     to skip; homology degrees are probed top-down and lazily.
     """
-    pairs = []
-    for i, j in _comparable_pairs(p):
-        iv = p.interval(p.elements[i], p.elements[j])
-        pairs.append((iv.members.rank(), iv))
-    pairs.sort(key=lambda t: -t[0])
+    pairs = sorted(
+        ((rank, i, j) for i, j, rank, _ in p.interval_ranks()), key=lambda t: -t[0]
+    )
     best = 0
-    for rank, iv in pairs:
+    for rank, i, j in pairs:
         if rank <= best:
             break
-        k = truncated_order_complex(iv)
+        k = truncated_order_complex(p.interval(p.elements[i], p.elements[j]))
         if k.is_null:
             continue
         if k.is_empty_complex:

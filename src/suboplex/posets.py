@@ -153,6 +153,49 @@ class SubsetPoset:
             depth[j] = best
         return max(depth)
 
+    def interval_ranks(self) -> Iterator[tuple[int, int, int, bool]]:
+        """``(i, j, rank, graded)`` for every closed interval [e_i, e_j], i < j.
+
+        One longest-chain pass per bottom element i gives the depth of
+        every element above it, and the rank of [e_i, e_j] is the depth
+        of e_j.  The interval is graded iff every cover x < y inside it
+        raises the depth by exactly one.  Pairs come by ascending i,
+        then descending j.
+        """
+        size = len(self._masks)
+        covers_down = [0] * size
+        for i, cov in enumerate(self._covers_up):
+            rest = cov
+            while rest:
+                j = rest.bit_length() - 1
+                rest ^= 1 << j
+                covers_down[j] |= 1 << i
+        for i in range(size):
+            up = self._up_strict[i]
+            span = up | 1 << i
+            depth = {i: 0}
+            ungraded = 0
+            rest = up
+            while rest:  # ascending indices follow the linear extension
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
+                below = covers_down[j] & span  # never empty: [e_i, e_j] is finite
+                cover_depths = set()
+                while below:
+                    x = below.bit_length() - 1
+                    below ^= 1 << x
+                    cover_depths.add(depth[x])
+                depth[j] = max(cover_depths) + 1
+                if len(cover_depths) > 1:
+                    ungraded |= low
+            rest = up
+            while rest:
+                j = rest.bit_length() - 1
+                bit = 1 << j
+                rest ^= bit
+                yield i, j, depth[j], not ungraded & (self._down_strict[j] | bit)
+
     def cover_relations(self) -> list[tuple[Subset, Subset]]:
         out = []
         for i, cov in enumerate(self._covers_up):

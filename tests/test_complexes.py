@@ -9,6 +9,10 @@ from suboplex import (
     Subset,
     SubsetPoset,
     ValidationError,
+    betti_via_intervals,
+    class_from_poset,
+    homological_dimension,
+    intersection_closure,
     is_cohen_macaulay,
     is_interval_cm,
     order_complex,
@@ -22,6 +26,30 @@ from suboplex.complexes import ChainHomology
 HOLLOW_TRIANGLE = SimplicialComplex.from_facets(3, [0b011, 0b101, 0b110])
 
 
+def reisner_interval_cm(p: SubsetPoset, fieldspec) -> bool:
+    """Reference: Reisner's criterion on the open part of every interval."""
+    for a in p.elements:
+        for b in p.elements:
+            if a == b or a.bits & b.bits != a.bits:
+                continue
+            iv = p.interval(a, b)
+            if iv.members.rank() <= 1:
+                continue
+            if not is_cohen_macaulay(truncated_order_complex(iv), fieldspec):
+                return False
+    return True
+
+
+@pytest.fixture
+def no_facets(monkeypatch):
+    """Make any computation of facets fail."""
+
+    def refuse(self):
+        raise AssertionError("facets were computed")
+
+    monkeypatch.setattr(SimplicialComplex, "_compute_facets", refuse)
+
+
 class TestComplexBasics:
     def test_null_vs_empty(self):
         null = SimplicialComplex.null()
@@ -30,6 +58,7 @@ class TestComplexBasics:
         assert empty.is_empty_complex and not empty.is_null
         assert null.dim == -2 and empty.dim == -1
         assert null != empty
+        assert 0 not in null and null.is_null  # asking for faces keeps it null
 
     def test_faces_by_dim(self):
         fv = HOLLOW_TRIANGLE.f_vector()
@@ -38,6 +67,27 @@ class TestComplexBasics:
     def test_from_faces_keeps_maximal(self):
         k = SimplicialComplex.from_faces(3, [0b011, 0b001, 0b010, 0b100])
         assert set(k.facets) == {0b011, 0b100}
+
+    def test_from_faces_needs_no_facets(self, no_facets):
+        k = SimplicialComplex.from_faces(3, [0b011, 0b001, 0b010, 0b100])
+        assert k.dim == 1 and not k.is_empty_complex and not k.is_null
+        empty = SimplicialComplex.from_faces(3, [0])
+        assert empty.dim == -1 and empty.is_empty_complex and not empty.is_null
+        null = SimplicialComplex.from_faces(3, [])
+        assert null.dim == -2 and null.is_null and not null.is_empty_complex
+
+    def test_lazy_facets_match_from_facets(self, rng):
+        for _ in range(40):
+            p = random_poset(rng)
+            k = order_complex(p)
+            assert k.facets == SimplicialComplex.from_facets(len(p), k.face_set()).facets
+
+    def test_homology_path_needs_no_facets(self, rng, no_facets):
+        for _ in range(20):
+            p = random_intersection_closed_poset(rng)
+            reduced_homology(order_complex(p), GF3)
+            betti_via_intervals(p, GF3)
+            homological_dimension(class_from_poset(p), GF3)
 
 
 class TestOrderComplex:
@@ -148,6 +198,30 @@ class TestIntervalCM:
         from suboplex.builders import cube_complex
 
         assert is_interval_cm(cube_complex(2))
+
+    def test_ungraded_interval_rejected(self):
+        # the top interval has maximal chains of lengths 2 and 3
+        p = SubsetPoset.from_strings(["000", "100", "110", "001", "111"])
+        assert p.is_intersection_closed()
+        assert not is_interval_cm(p)
+
+    def test_disconnected_graded_interval_rejected(self):
+        # graded of rank 3, but the open top interval is two disjoint edges
+        p = SubsetPoset.from_strings(["0000", "1000", "1100", "0010", "0011", "1111"])
+        assert p.is_intersection_closed()
+        assert not is_interval_cm(p)
+
+    def test_agrees_with_reisner_on_every_interval(self, rng):
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            masks = intersection_closure(rng.getrandbits(n) for _ in range(rng.randint(1, 10)))
+            p = SubsetPoset.from_masks(n, masks)
+            for field in (GF2, GF3, QQ):
+                expected = reisner_interval_cm(p, field)
+                assert is_interval_cm(p, field) == expected
+                outcomes.add(expected)
+        assert outcomes == {True, False}
 
     def test_cm_implies_interval_cm(self, rng):
         checked = 0

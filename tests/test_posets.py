@@ -172,6 +172,35 @@ class TestInterval:
                     if a.bits & b.bits == a.bits:
                         assert p.interval(a, b).members.rank() <= r
 
+    def test_interval_ranks_match_sub_posets(self, rng):
+        posets = [random_poset(rng) for _ in range(30)]
+        posets += [random_intersection_closed_poset(rng, max_n=6) for _ in range(60)]
+        outcomes = set()
+        for p in posets:
+            seen = set()
+            for i, j, rank, graded in p.interval_ranks():
+                a, b = p.elements[i], p.elements[j]
+                assert a != b and a.bits & b.bits == a.bits
+                members = p.interval(a, b).members
+                assert rank == members.rank()
+                covers = set(members.cover_relations())
+                lengths = {
+                    len(c) - 1
+                    for c in members.chains()
+                    if c and c[0] == a and c[-1] == b
+                    and all(pair in covers for pair in zip(c, c[1:]))
+                }
+                assert graded == (len(lengths) == 1)
+                outcomes.add(graded)
+                seen.add((i, j))
+            assert seen == {
+                (i, j)
+                for i, a in enumerate(p.elements)
+                for j, b in enumerate(p.elements)
+                if a != b and a.bits & b.bits == a.bits
+            }
+        assert outcomes == {True, False}
+
 
 class TestMobius:
     def test_diagonal(self):

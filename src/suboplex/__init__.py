@@ -44,6 +44,7 @@ from .classes import (
 from .complexes import (
     HomologyProfile,
     SimplicialComplex,
+    interval_complex,
     is_cohen_macaulay,
     is_interval_cm,
     order_complex,
@@ -92,6 +93,7 @@ __all__ = [
     "homological_dimension",
     "intersect",
     "intersection_closure",
+    "interval_complex",
     "is_cohen_macaulay",
     "is_interval_cm",
     "is_shattered",

@@ -3,9 +3,21 @@
 For an intersection-closed poset P the chain complex built on the order
 complex of P, with each chain labeled by the monomial m(min, max),
 resolves the dual ideal of the associated function class.  Multigraded
-Betti numbers are read off per closed interval from the reduced
-homology of its truncated order complex, or, on interval
-Cohen-Macaulay posets, directly from Moebius values.
+Betti numbers are read off per closed interval [A, B] from the reduced
+homology of the open interval (A, B), or, on interval Cohen-Macaulay
+posets, directly from Moebius values.
+
+Every closed interval of P is a lattice with bitwise AND as meet, so
+Rota's crosscut theorem (Bjorner, "Topological methods", Handbook of
+Combinatorics, 1995, Thm 10.8) gives that homology from the complex of
+atom sets with an upper bound below B, or of coatom sets with a lower
+bound above A.  ``interval_complex`` builds the smaller of the two, or
+the order complex of (A, B) when that has fewer faces, straight from
+the comparability masks of P; the Betti and homological-dimension
+sweeps take homology on it.  The labeled order complex stays for
+``cellular_resolution`` and ``verify_acyclic``, and
+``truncated_order_complex`` stays as the reference the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -18,9 +30,9 @@ from .classes import FunctionClass, dual_ideal
 from .complexes import (
     ChainHomology,
     SimplicialComplex,
+    interval_complex,
     order_complex,
     reduced_homology,
-    truncated_order_complex,
 )
 from .errors import CapExceededError, ValidationError
 from .linalg import GF2, FieldSpec
@@ -175,32 +187,27 @@ def verify_acyclic(
     return True
 
 
-def _interval_entries(
-    p: SubsetPoset, i: int, j: int, fieldspec: FieldSpec
-) -> list[tuple[int, SquarefreeMonomial, int]]:
-    iv = p.interval(p.elements[i], p.elements[j])
-    profile = reduced_homology(truncated_order_complex(iv), fieldspec)
-    if profile.is_zero:
-        return []
-    deg = monomial(p.elements[i], p.elements[j])
-    return [(d + 2, deg, v) for d, v in profile.nonzero.items()]
-
-
 def betti_via_intervals(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTable:
     """Multigraded Betti numbers of the dual ideal from interval homology.
 
     beta_0 contributes one generator per poset element in degree
     m(A, A); for i >= 1, beta_{i, m(A,B)} is the (i-2)-nd reduced
-    homology of the truncated order complex of [A, B].
+    homology of the open interval (A, B), taken on ``interval_complex``.
+    Only degrees up to rank - 2 are computed: the order complex of
+    (A, B) has no faces above them.
     """
     if not p.is_intersection_closed():
         raise ValidationError("interval Betti numbers require an intersection-closed poset")
     entries: dict[tuple[int, SquarefreeMonomial], int] = {}
     for a in p.elements:
         entries[(0, monomial(a, a))] = 1
-    for a, b, _, _ in p.interval_ranks():
-        for i, deg, v in _interval_entries(p, a, b, fieldspec):
-            entries[(i, deg)] = v
+    for i, j, rank, _ in p.interval_ranks():
+        chain = ChainHomology(interval_complex(p, i, j).faces_by_dim(), fieldspec)
+        deg = monomial(p.elements[i], p.elements[j])
+        for d in range(-1, rank - 1):
+            v = chain.betti(d)
+            if v:
+                entries[(d + 2, deg)] = v
     return BettiTable(n=p.n, entries=entries)
 
 
@@ -245,16 +252,10 @@ def _hdim_of_poset(p: SubsetPoset, fieldspec: FieldSpec) -> int:
     for rank, i, j in pairs:
         if rank <= best:
             break
-        k = truncated_order_complex(p.interval(p.elements[i], p.elements[j]))
-        if k.is_null:
-            continue
-        if k.is_empty_complex:
-            best = max(best, 1)
-            continue
-        chain = ChainHomology(k.faces_by_dim(), fieldspec)
-        for d in range(k.dim, best - 2, -1):
+        chain = ChainHomology(interval_complex(p, i, j).faces_by_dim(), fieldspec)
+        for d in range(rank - 2, best - 2, -1):
             if chain.betti(d):
-                best = max(best, d + 2)
+                best = d + 2
                 break
     return best
 

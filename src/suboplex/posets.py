@@ -244,23 +244,29 @@ class SubsetPoset:
     def restrict(self, indices: Iterable[int]) -> "SubsetPoset":
         return SubsetPoset(self.n, [self.elements[i] for i in indices])
 
-    def chain_masks(self) -> Iterator[int]:
+    def chain_masks(self, within: int | None = None) -> Iterator[int]:
         """Index-bitmasks of all chains, the empty chain included.
 
         The canonical element order is a linear extension, so the set
         bits of a mask, read in increasing position, list the chain in
-        increasing order.
+        increasing order.  ``within``, a bit mask of element indices,
+        restricts the chains to those elements.
         """
-        size = len(self)
-        above: list[list[int]] = [[] for _ in range(size)]
-        for i in range(size):
-            rest = self._up_strict[i]
-            while rest:
-                j = rest.bit_length() - 1
-                rest ^= 1 << j
+        if within is None:
+            within = (1 << len(self)) - 1
+        above: dict[int, list[int]] = {}
+        rest = within
+        while rest:
+            i = rest.bit_length() - 1
+            rest ^= 1 << i
+            above[i] = []
+            up = self._up_strict[i] & within
+            while up:
+                j = up.bit_length() - 1
+                up ^= 1 << j
                 above[i].append(j)
         yield 0
-        stack = [(1 << i, i) for i in range(size)]
+        stack = [(1 << i, i) for i in above]
         while stack:
             mask, last = stack.pop()
             yield mask

@@ -19,6 +19,13 @@ def rng(request) -> random.Random:
     return random.Random(request.config.getoption("--seed"))
 
 
+# facets of the minimal (6-vertex) triangulation of the real projective plane
+RP2_FACETS = [
+    0b010011, 0b100011, 0b001101, 0b010101, 0b101001,
+    0b001110, 0b100110, 0b011010, 0b110100, 0b111000,
+]
+
+
 def random_poset(rng: random.Random, max_n: int = 4) -> SubsetPoset:
     n = rng.randint(1, max_n)
     masks = {rng.getrandbits(n) for _ in range(rng.randint(1, 7))}

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_intersection_closed_poset
+from conftest import RP2_FACETS, random_intersection_closed_poset
 from suboplex import (
     GF2,
     GF3,
     QQ,
+    SimplicialComplex,
     Subset,
     SubsetPoset,
     ValidationError,
@@ -16,6 +19,8 @@ from suboplex import (
     class_from_poset,
     dual_ideal,
     homological_dimension,
+    intersection_closure,
+    interval_complex,
     is_interval_cm,
     monomial,
     reduced_homology,
@@ -124,6 +129,107 @@ class TestBettiViaIntervals:
     def test_rejects_non_intersection_closed(self):
         with pytest.raises(ValidationError):
             betti_via_intervals(SubsetPoset.from_strings(["10", "01"]))
+
+
+def reference_profile(p: SubsetPoset, i: int, j: int, field) -> dict[int, int]:
+    """Reduced homology of the open interval (e_i, e_j) from its order complex."""
+    iv = p.interval(p.elements[i], p.elements[j])
+    return reduced_homology(truncated_order_complex(iv), field).nonzero
+
+
+def comparable_pairs(p: SubsetPoset):
+    for i, a in enumerate(p.elements):
+        for j in range(i, len(p)):
+            if a.bits & p.elements[j].bits == a.bits:
+                yield i, j
+
+
+def assert_matches_order_complex(p: SubsetPoset) -> None:
+    for i, j in comparable_pairs(p):
+        k = interval_complex(p, i, j)
+        for field in (GF2, GF3, QQ):
+            assert reduced_homology(k, field).nonzero == reference_profile(p, i, j, field)
+
+
+def stacked_antichains() -> SubsetPoset:
+    """0 < a_0..a_7 < x < y_0..y_7 < 1 on ground {0..15}.
+
+    a_i = {i}, x = {0..7}, y_j = x | {8 + j}, and the top is {0..15}.
+    """
+    x = (1 << 8) - 1
+    masks = [0, x, (1 << 16) - 1]
+    masks += [1 << i for i in range(8)]
+    masks += [x | 1 << (8 + j) for j in range(8)]
+    return SubsetPoset.from_masks(16, masks)
+
+
+@st.composite
+def intersection_closed_posets(draw) -> SubsetPoset:
+    n = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=10))
+    return SubsetPoset.from_masks(n, intersection_closure(masks))
+
+
+class TestIntervalComplex:
+    def test_matches_order_complex_on_every_interval(self, rng):
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            masks = intersection_closure(rng.getrandbits(n) for _ in range(rng.randint(1, 10)))
+            assert_matches_order_complex(SubsetPoset.from_masks(n, masks))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(intersection_closed_posets())
+    def test_matches_order_complex_property(self, p):
+        assert_matches_order_complex(p)
+
+    def test_falls_back_to_the_order_complex(self):
+        # both crosscut complexes of the top interval are full 7-simplices
+        # (2^8 faces), while its interior has 1 + 17 + 80 + 64 = 162 chains
+        p = stacked_antichains()
+        assert len(p) == 19 and p.is_intersection_closed()
+        top = len(p) - 1
+        k = interval_complex(p, 0, top)
+        assert len(k.face_set()) == 162 and k.dim == 2
+        # the interior is elements 1..17 of p and 0..16 of the open sub-poset
+        oracle = truncated_order_complex(p.interval(p.bottom(), p.top()))
+        assert {f >> 1 for f in k.face_set()} == oracle.face_set()
+        assert_matches_order_complex(p)
+        # elsewhere the crosscut on the fewer of atoms and coatoms is used:
+        # x is the only atom of [a_0, 1] and the only coatom of [0, y_0]
+        a0, y0 = p.index(S("1" + "0" * 15)), p.index(S("1" * 8 + "10000000"))
+        for k in (interval_complex(p, a0, top), interval_complex(p, 0, y0)):
+            assert k.num_vertices == 1 and len(k.face_set()) == 2
+        for field in (GF2, GF3, QQ):
+            assert _hdim_of_poset(p, field) == betti_via_intervals(p, field).projective_dimension
+
+    def test_degenerate_intervals(self):
+        p = stacked_antichains()
+        covers = set(p.cover_relations())
+        for i, j in comparable_pairs(p):
+            k = interval_complex(p, i, j)
+            if i == j:
+                assert k.is_null and reduced_homology(k).nonzero == {}
+            elif (p.elements[i], p.elements[j]) in covers:
+                assert k.is_empty_complex and reduced_homology(k).nonzero == {-1: 1}
+            else:
+                assert k.dim >= 0
+
+    def test_rejects_incomparable_endpoints(self):
+        p = SubsetPoset.from_strings(["00", "10", "01"])
+        with pytest.raises(ValidationError):
+            interval_complex(p, 1, 2)
+
+    def test_characteristic_dependence_through_crosscut(self):
+        # every face of RP^2, the empty face included, plus the top {0..5}
+        faces = SimplicialComplex.from_facets(6, RP2_FACETS).face_set()
+        p = SubsetPoset.from_masks(6, faces | {(1 << 6) - 1})
+        assert len(p) == 33 and p.is_intersection_closed()
+        gf2, gf3 = betti_via_intervals(p, GF2), betti_via_intervals(p, GF3)
+        assert gf2.totals() == [33, 76, 60, 17, 1]
+        assert gf3.totals() == [33, 76, 60, 16]
+        gens = dual_ideal(class_from_poset(p))
+        assert gf2 == betti_oracle(gens, GF2)
+        assert gf3 == betti_oracle(gens, GF3)
 
 
 class TestBettiViaMobius:

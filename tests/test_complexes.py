@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_intersection_closed_poset, random_poset
+from conftest import RP2_FACETS, random_intersection_closed_poset, random_poset
 from suboplex import (
     GF2,
     GF3,
@@ -223,6 +223,28 @@ class TestIntervalCM:
                 outcomes.add(expected)
         assert outcomes == {True, False}
 
+    def test_agrees_with_reisner_without_intersection_closure(self, rng):
+        # intervals need not be lattices here, so no crosscut may be used
+        outcomes = set()
+        closed = set()
+        for _ in range(400):
+            p = random_poset(rng)
+            closed.add(p.is_intersection_closed())
+            for field in (GF2, GF3):
+                expected = reisner_interval_cm(p, field)
+                assert is_interval_cm(p, field) == expected
+                outcomes.add(expected)
+        assert outcomes == {True, False} and False in closed
+        # the Boolean lattice B_4 without {1,2} and {0,3}: the top interval
+        # is not a lattice, and its common-bound crosscuts miss the H_1 of its
+        # order complex
+        p = SubsetPoset.from_strings([
+            "0000", "1000", "0100", "0010", "0001", "1100", "1010",
+            "0101", "0011", "1110", "1101", "1011", "0111", "1111",
+        ])
+        assert not p.is_intersection_closed()
+        assert not reisner_interval_cm(p, GF2) and not is_interval_cm(p, GF2)
+
     def test_cm_implies_interval_cm(self, rng):
         checked = 0
         for _ in range(200):
@@ -331,13 +353,7 @@ class TestSuspensionShift:
 class TestFieldDependence:
     # minimal triangulation of the real projective plane: homology and the
     # Cohen-Macaulay property depend on the characteristic
-    RP2 = SimplicialComplex.from_facets(
-        6,
-        [
-            0b010011, 0b100011, 0b001101, 0b010101, 0b101001,
-            0b001110, 0b100110, 0b011010, 0b110100, 0b111000,
-        ],
-    )
+    RP2 = SimplicialComplex.from_facets(6, RP2_FACETS)
 
     def test_homology_differs_by_characteristic(self):
         over_gf2 = reduced_homology(self.RP2, GF2)

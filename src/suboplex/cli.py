@@ -36,12 +36,7 @@ from .classes import (
     vc_dimension,
     warn_if_degenerate,
 )
-from .complexes import (
-    SimplicialComplex,
-    is_cohen_macaulay,
-    is_interval_cm,
-    order_complex,
-)
+from .complexes import SimplicialComplex, is_cohen_macaulay, is_interval_cm
 from .errors import CapExceededError, ValidationError
 from .linalg import FieldSpec
 from .oracles import betti_oracle, regularity_oracle, vc_oracle
@@ -274,11 +269,17 @@ def _cmd_check(args) -> int:
             results.append(
                 ("acyclic", verify_acyclic(labeled, field, exhaustive=args.exhaustive))
             )
-        if args.interval_cm:
-            results.append(("interval-CM", is_interval_cm(poset, field)))
-            results.append(("CM", is_cohen_macaulay(order_complex(poset), field)))
-        elif args.cm:
-            results.append(("CM", is_cohen_macaulay(order_complex(poset), field)))
+        if args.interval_cm or args.cm:
+            # The order complex of a poset is CM iff its bounded copy is
+            # interval-CM; a bounded poset is its own bounded copy.
+            bounded = poset.bounded()
+            cm = None
+            if args.interval_cm:
+                cm = is_interval_cm(poset, field)
+                results.append(("interval-CM", cm))
+            if cm is None or bounded is not poset:
+                cm = is_interval_cm(bounded, field)
+            results.append(("CM", cm))
     if not results:
         raise ValidationError(
             "check needs at least one of --intersection-closed, --acyclic, "

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
+from .bitsets import MAX_GROUND
+from .errors import CapExceededError, ValidationError
 from .linalg import GF2, FieldSpec, rank_from_columns
 from .posets import Interval, SubsetPoset
 
@@ -377,33 +378,57 @@ def interval_complex(
     if not interior:
         return SimplicialComplex.empty()
     if crosscut:
-        chains = _chain_count(down, interior)
         atoms = _bits(p._covers_up[i] & down[j])
         coatoms = [x for x in _bits(interior) if not up[x] & interior]
-        if len(atoms) <= len(coatoms):
-            faces = _crosscut_faces(atoms, up, interior, chains)
-            verts = len(atoms)
-        else:
-            faces = _crosscut_faces(coatoms, down, interior, chains)
-            verts = len(coatoms)
+        verts, bounds = (atoms, up) if len(atoms) <= len(coatoms) else (coatoms, down)
+        # At most 2^k crosscut faces against at least 1 + |interior| chains:
+        # the chains need counting only when the first can pass the second.
+        limit = 1 << len(verts)
+        if limit > 1 + interior.bit_count():
+            limit = _chain_count(down, interior)
+        faces = _crosscut_faces(verts, bounds, interior, limit)
         if faces is not None:
-            return SimplicialComplex.from_faces(verts, faces)
+            return SimplicialComplex.from_faces(len(verts), faces)
     return SimplicialComplex.from_faces(len(p), p.chain_masks(interior))
 
 
+def _face_poset(k: SimplicialComplex) -> SubsetPoset:
+    """The faces of ``k``, the empty face included, ordered by inclusion.
+
+    Vertices in no face are dropped, so the ground set is the used
+    vertices, renumbered in ascending order.
+    """
+    faces = k.face_set()
+    union = 0
+    for f in faces:
+        union |= f
+    used = _bits(union)
+    if len(used) > MAX_GROUND:
+        raise CapExceededError(
+            f"Cohen-Macaulay check is capped at {MAX_GROUND} used vertices, got {len(used)}"
+        )
+    pos = {v: t for t, v in enumerate(used)}
+    return SubsetPoset.from_masks(
+        len(used), [sum(1 << pos[v] for v in _bits(f)) for f in faces]
+    )
+
+
 def is_cohen_macaulay(k: SimplicialComplex, fieldspec: FieldSpec = GF2) -> bool:
-    """Reisner's criterion: every link has vanishing homology below its dimension."""
-    if k.is_null:
+    """True iff ``k`` is Cohen-Macaulay over the field; no link is built.
+
+    Cohen-Macaulayness is a topological property (Munkres, "Topological
+    results in combinatorics", 1984), and the order complex of the
+    nonempty faces of ``k`` is its barycentric subdivision.  The order
+    complex of a poset P is Cohen-Macaulay iff P with a bottom and a top
+    adjoined is interval Cohen-Macaulay (Baclawski, "Cohen-Macaulay
+    ordered sets", J. Algebra 1980).  So this is ``is_interval_cm`` on
+    the face poset of ``k`` with the empty face as its bottom, made
+    bounded.  The null complex and the empty complex {emptyset} are
+    Cohen-Macaulay.
+    """
+    if k.dim < 0:
         return True
-    for face in sorted(k.face_set(), key=lambda f: f.bit_count()):
-        lk = k.link(face)
-        d = lk.dim
-        if d <= -1:
-            continue
-        profile = reduced_homology(lk, fieldspec)
-        if any(profile[i] for i in range(-1, d)):
-            return False
-    return True
+    return is_interval_cm(_face_poset(k).bounded(), fieldspec)
 
 
 def is_interval_cm(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> bool:
@@ -417,7 +442,10 @@ def is_interval_cm(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> bool:
     intervals, so homology concentrated in the top degree of every
     interval is exactly Reisner's criterion on each of them (Baclawski
     1980; Bjorner, Garsia and Stanley, "An introduction to Cohen-Macaulay
-    posets", 1982).  The answer depends on the field: homology is taken
+    posets", 1982).  On a bounded poset this is also Cohen-Macaulayness
+    of its order complex (Baclawski 1980; a topological property by
+    Munkres 1984), which is how ``is_cohen_macaulay`` and ``check --cm``
+    use it.  The answer depends on the field: homology is taken
     over ``fieldspec``.  Rank-0 and rank-1 intervals give the null and
     empty complexes, which count as Cohen-Macaulay.  The homology comes
     from ``interval_complex``, through crosscuts only when ``p`` is

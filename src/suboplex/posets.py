@@ -241,6 +241,27 @@ class SubsetPoset:
         maxs = [i for i in range(len(self._masks)) if self._up_strict[i] == 0]
         return self.elements[maxs[0]] if len(maxs) == 1 else None
 
+    def bounded(self) -> "SubsetPoset":
+        """This poset with the AND and the OR of all its members added.
+
+        A missing AND lies strictly below every member and a missing OR
+        strictly above, so the result has a bottom and a top on the same
+        ground set.  Its order complex is that of ``self`` joined with at
+        most two cone points, so one is Cohen-Macaulay iff the other is.
+        An intersection-closed poset stays intersection-closed.  Returns
+        ``self`` when both are already members, and for the empty poset.
+        """
+        if not self._masks:
+            return self
+        lo, hi = -1, 0
+        for m in self._masks:
+            lo &= m
+            hi |= m
+        extra = {lo, hi}.difference(self._index)
+        if not extra:
+            return self
+        return SubsetPoset.from_masks(self.n, [*self._masks, *extra])
+
     def restrict(self, indices: Iterable[int]) -> "SubsetPoset":
         return SubsetPoset(self.n, [self.elements[i] for i in indices])
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from suboplex import FunctionClass, SubsetPoset, intersection_closure
+from suboplex import FunctionClass, SimplicialComplex, SubsetPoset, intersection_closure
 
 
 def pytest_addoption(parser):
@@ -36,6 +36,12 @@ def random_intersection_closed_poset(rng: random.Random, max_n: int = 5) -> Subs
     n = rng.randint(1, max_n)
     masks = {rng.getrandbits(n) for _ in range(rng.randint(1, 6))}
     return SubsetPoset.from_masks(n, intersection_closure(masks))
+
+
+def random_complex(rng: random.Random, max_n: int = 6) -> SimplicialComplex:
+    nv = rng.randint(1, max_n)
+    facets = {rng.getrandbits(nv) for _ in range(rng.randint(1, 5))}
+    return SimplicialComplex.from_facets(nv, facets)
 
 
 def random_class(

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import suboplex
+from conftest import RP2_FACETS
 from suboplex.bundled import U11_U23_BETTI_TEXT
 from suboplex.cli import main
 
@@ -139,6 +140,28 @@ class TestCheck:
         )
         assert code == 0 and out == "intersection-closed: yes; acyclic: yes"
 
+    def test_cm_checks_build_no_links(self, capsys, monkeypatch):
+        def refuse(self, face):
+            raise AssertionError("a link was built")
+
+        monkeypatch.setattr(suboplex.SimplicialComplex, "link", refuse)
+        rp2 = "complex:" + json.dumps({
+            "vertices": 6,
+            "facets": [[v for v in range(6) if f >> v & 1] for f in RP2_FACETS],
+        })
+        cases = [
+            (["--interval-cm", "--build", 'matroid:{"type":"uniform","k":4,"m":7}'],
+             "interval-CM: yes; CM: yes"),
+            (["--cm", "--build", 'cube:{"d":4}'], "CM: yes"),
+            (["--cm", "--build", rp2, "--field", "2"], "CM: no"),
+            (["--cm", "--build", rp2, "--field", "3"], "CM: yes"),
+        ]
+        for argv, expected in cases:
+            assert run(capsys, "check", *argv) == (0, expected, "")
+
+    def test_cm_only_on_unbounded_poset(self, capsys, bowtie_file):
+        assert run(capsys, "check", "--cm", "--input", bowtie_file) == (0, "CM: no", "")
+
     def test_complex_cm(self, capsys, tmp_path):
         path = tmp_path / "complex.json"
         path.write_text(json.dumps({"vertices": 3, "facets": [[0, 1], [1, 2], [0, 2]]}))
@@ -228,13 +251,14 @@ class TestErrors:
         assert code == 1 and "width" in err
 
     def test_cap_exit_code(self, capsys):
-        code, _, err = run(
-            capsys,
-            "oracle",
-            "betti",
-            "--build",
-            'class:{"n":8,"functions":["10000000"]}',
-        )
+        with pytest.warns(UserWarning, match="constant"):
+            code, _, err = run(
+                capsys,
+                "oracle",
+                "betti",
+                "--build",
+                'class:{"n":8,"functions":["10000000"]}',
+            )
         assert code == 2 and "capped" in err
 
     def test_both_sources_rejected(self, capsys, flag_poset_file):

@@ -1,10 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import RP2_FACETS, random_intersection_closed_poset, random_poset
+from conftest import (
+    RP2_FACETS,
+    random_complex,
+    random_intersection_closed_poset,
+    random_poset,
+)
 from suboplex import (
     GF2,
     GF3,
     QQ,
+    CapExceededError,
     SimplicialComplex,
     Subset,
     SubsetPoset,
@@ -26,6 +34,21 @@ from suboplex.complexes import ChainHomology
 HOLLOW_TRIANGLE = SimplicialComplex.from_facets(3, [0b011, 0b101, 0b110])
 
 
+def reisner_cm(k: SimplicialComplex, fieldspec) -> bool:
+    """Reference: Reisner's criterion, every link's homology vanishes below its top."""
+    if k.is_null:
+        return True
+    for face in sorted(k.face_set(), key=lambda f: f.bit_count()):
+        lk = k.link(face)
+        d = lk.dim
+        if d <= -1:
+            continue
+        profile = reduced_homology(lk, fieldspec)
+        if any(profile[i] for i in range(-1, d)):
+            return False
+    return True
+
+
 def reisner_interval_cm(p: SubsetPoset, fieldspec) -> bool:
     """Reference: Reisner's criterion on the open part of every interval."""
     for a in p.elements:
@@ -35,7 +58,7 @@ def reisner_interval_cm(p: SubsetPoset, fieldspec) -> bool:
             iv = p.interval(a, b)
             if iv.members.rank() <= 1:
                 continue
-            if not is_cohen_macaulay(truncated_order_complex(iv), fieldspec):
+            if not reisner_cm(truncated_order_complex(iv), fieldspec):
                 return False
     return True
 
@@ -187,6 +210,63 @@ class TestCohenMacaulay:
         assert not is_cohen_macaulay(k)
 
 
+@st.composite
+def small_posets(draw):
+    n = draw(st.integers(1, 4))
+    masks = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=7))
+    return SubsetPoset.from_masks(n, masks)
+
+
+class TestCohenMacaulayThroughIntervals:
+    """The order complex of P is CM iff P with a bottom and a top is interval-CM."""
+
+    def test_null_and_empty_complexes(self):
+        for field in (GF2, GF3, QQ):
+            assert is_cohen_macaulay(SimplicialComplex.null(), field)
+            assert is_cohen_macaulay(SimplicialComplex.empty(), field)
+
+    def test_bowtie_is_interval_cm_but_not_cm(self):
+        p = bowtie_poset()
+        assert is_interval_cm(p) and not is_interval_cm(p.bounded())
+
+    def test_unused_vertices_are_dropped(self):
+        # a circle on vertices 0, 40 and 99: more vertices than the ground allows
+        k = SimplicialComplex.from_facets(100, [1 | 1 << 40, 1 << 40 | 1 << 99, 1 | 1 << 99])
+        assert is_cohen_macaulay(k) and reisner_cm(k, GF2)
+
+    def test_more_used_vertices_than_the_ground_is_capped(self):
+        points = SimplicialComplex.from_facets(65, [1 << v for v in range(65)])
+        with pytest.raises(CapExceededError):
+            is_cohen_macaulay(points)
+
+    def test_agrees_with_reisner_on_random_posets(self, rng):
+        for make in (random_poset, random_intersection_closed_poset):
+            outcomes = set()
+            for _ in range(300):
+                p = make(rng)
+                k = order_complex(p)
+                for field in (GF2, GF3, QQ):
+                    expected = reisner_cm(k, field)
+                    assert is_interval_cm(p.bounded(), field) == expected
+                    outcomes.add(expected)
+            assert outcomes == {True, False}
+
+    def test_agrees_with_reisner_on_random_complexes(self, rng):
+        outcomes = set()
+        for _ in range(300):
+            k = random_complex(rng)
+            for field in (GF2, GF3, QQ):
+                expected = reisner_cm(k, field)
+                assert is_cohen_macaulay(k, field) == expected
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(small_posets(), st.sampled_from([GF2, GF3, QQ]))
+    def test_poset_identity_property(self, p, field):
+        assert is_interval_cm(p.bounded(), field) == reisner_cm(order_complex(p), field)
+
+
 class TestIntervalCM:
     def test_bowtie_poset_is_interval_cm(self):
         assert is_interval_cm(bowtie_poset())
@@ -251,7 +331,7 @@ class TestIntervalCM:
             p = random_poset(rng, max_n=3)
             if len(p) == 0:
                 continue
-            if is_cohen_macaulay(order_complex(p)):
+            if reisner_cm(order_complex(p), GF2):
                 checked += 1
                 assert is_interval_cm(p)
         assert checked > 20
@@ -362,6 +442,11 @@ class TestFieldDependence:
             assert reduced_homology(self.RP2, field).is_zero
 
     def test_cm_differs_by_characteristic(self):
+        assert not reisner_cm(self.RP2, GF2)
+        assert reisner_cm(self.RP2, GF3)
+        assert reisner_cm(self.RP2, QQ)
+
+    def test_cm_through_intervals_differs_by_characteristic(self):
         assert not is_cohen_macaulay(self.RP2, GF2)
         assert is_cohen_macaulay(self.RP2, GF3)
         assert is_cohen_macaulay(self.RP2, QQ)

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import random_intersection_closed_poset, random_poset
 from suboplex import Subset, SubsetPoset, ValidationError, build_poset
-from suboplex.bundled import u11_u23_flats
+from suboplex.bundled import bowtie_poset, u11_u23_flats
 from suboplex.io import poset_from_json, poset_to_json
 
 FLAG_ELEMENTS = [
@@ -99,6 +99,43 @@ class TestIntersectionClosed:
                 cl = p.closure(sub)
                 covered = any(a & m == a for m in (e.bits for e in p.elements))
                 assert covered == (cl is not None and cl in p)
+
+
+class TestBounded:
+    def test_bowtie_gains_only_a_top(self):
+        p = bowtie_poset()
+        b = p.bounded()
+        assert p.bottom() is not None and p.top() is None
+        assert b.bottom() == p.bottom() and b.top() == S("1111")
+        assert set(b.elements) == set(p.elements) | {S("1111")}
+
+    def test_full_ground_without_bottom_or_top(self):
+        a, c = Subset(64, 1), Subset(64, 1 << 63)
+        p = SubsetPoset(64, [a, c, Subset(64, 1 | 1 << 32)])
+        assert p.bottom() is None and p.top() is None
+        b = p.bounded()
+        assert b.n == 64 and len(b) == 5
+        assert b.bottom() == Subset(64, 0)
+        assert b.top() == Subset(64, 1 | 1 << 32 | 1 << 63)
+
+    def test_one_element_is_its_own_bounded_copy(self):
+        p = SubsetPoset.from_strings(["010"])
+        assert p.bounded() is p
+
+    def test_bounded_poset_is_returned_itself(self):
+        p = u11_u23_flats()
+        assert p.bounded() is p
+
+    def test_bottom_and_top_bound_every_member(self, rng):
+        for _ in range(100):
+            p = random_poset(rng)
+            b = p.bounded()
+            lo, hi = b.bottom(), b.top()
+            assert lo is not None and hi is not None
+            assert set(p.elements) <= set(b.elements) and len(b) - len(p) <= 2
+            assert all(b.leq(lo, e) and b.leq(e, hi) for e in b.elements)
+            if p.is_intersection_closed():
+                assert b.is_intersection_closed()
 
 
 class TestClosure:

@@ -14,7 +14,10 @@ atom sets with an upper bound below B, or of coatom sets with a lower
 bound above A.  ``interval_complex`` builds the smaller of the two, or
 the order complex of (A, B) when that has fewer faces, straight from
 the comparability masks of P; the Betti and homological-dimension
-sweeps take homology on it.  The labeled order complex stays for
+sweeps take homology on it.  Every sweep reads the rank, Moebius value
+and chain count of each interval from one pass per bottom element,
+``SubsetPoset.intervals_above``, and walks intervals no other way.
+The labeled order complex stays for
 ``cellular_resolution`` and ``verify_acyclic``, and
 ``truncated_order_complex`` stays as the reference the tests compare
 against.
@@ -201,8 +204,8 @@ def betti_via_intervals(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTabl
     entries: dict[tuple[int, SquarefreeMonomial], int] = {}
     for a in p.elements:
         entries[(0, monomial(a, a))] = 1
-    for i, j, rank, _ in p.interval_ranks():
-        chain = ChainHomology(interval_complex(p, i, j).faces_by_dim(), fieldspec)
+    for i, j, rank, _, _, chains in p.intervals():
+        chain = ChainHomology(interval_complex(p, i, j, chains).faces_by_dim(), fieldspec)
         deg = monomial(p.elements[i], p.elements[j])
         for d in range(-1, rank - 1):
             v = chain.betti(d)
@@ -230,33 +233,40 @@ def betti_via_mobius(p: SubsetPoset, interval_cm_checked: bool = False) -> Betti
     entries: dict[tuple[int, SquarefreeMonomial], int] = {}
     for a in p.elements:
         entries[(0, monomial(a, a))] = 1
-    for i, j, rank, _ in p.interval_ranks():
-        a, b = p.elements[i], p.elements[j]
-        mu = p.mobius(a, b)
+    for i, j, rank, _, mu, _ in p.intervals():
         if mu:
-            entries[(rank, monomial(a, b))] = abs(mu)
+            entries[(rank, monomial(p.elements[i], p.elements[j]))] = abs(mu)
     return BettiTable(n=p.n, entries=entries)
 
 
 def _hdim_of_poset(p: SubsetPoset, fieldspec: FieldSpec) -> int:
     """Projective dimension of the dual ideal, with rank-based pruning.
 
-    An interval of rank r can only contribute indices up to r, so
-    intervals are visited by decreasing rank with the running best used
-    to skip; homology degrees are probed top-down and lazily.
+    An interval of rank r can only contribute indices up to r, so each
+    bottom's intervals are visited by decreasing rank, with the running
+    best used to stop.  ``p`` is intersection-closed, so e_0 is its
+    bottom, and a chain from e_0 up to e_i bounds the rank of every
+    interval [e_i, e_j] by height - depth_0(i).  Bottom 0 goes first,
+    then the others by decreasing bound, up to the first whose bound
+    cannot beat the best; the passes of the rest are never run.
+    Homology degrees are probed top-down and lazily.
     """
-    pairs = sorted(
-        ((rank, i, j) for i, j, rank, _ in p.interval_ranks()), key=lambda t: -t[0]
-    )
+    rows0 = list(p.intervals_above(0))
+    depth0 = {0: 0, **{j: rank for j, rank, *_ in rows0}}
+    height = max(depth0.values())
     best = 0
-    for rank, i, j in pairs:
-        if rank <= best:
+    for i in sorted(range(len(p)), key=depth0.__getitem__):
+        if height - depth0[i] <= best:
             break
-        chain = ChainHomology(interval_complex(p, i, j).faces_by_dim(), fieldspec)
-        for d in range(rank - 2, best - 2, -1):
-            if chain.betti(d):
-                best = d + 2
+        rows = rows0 if i == 0 else p.intervals_above(i)
+        for j, rank, _, _, chains in sorted(rows, key=lambda row: -row[1]):
+            if rank <= best:
                 break
+            chain = ChainHomology(interval_complex(p, i, j, chains).faces_by_dim(), fieldspec)
+            for d in range(rank - 2, best - 2, -1):
+                if chain.betti(d):
+                    best = d + 2
+                    break
     return best
 
 

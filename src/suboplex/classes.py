@@ -1,8 +1,8 @@
 """Function classes: sets of total Boolean functions on [n].
 
 A class is stored as the set of 1-preimages of its members.  This
-module computes shattering and VC dimension (with a closure-based fast
-path on intersection-closed classes), extentures (minimal
+module computes shattering and VC dimension (by one scan of the
+members per candidate set), extentures (minimal
 non-extendable partial functions), the generators of the associated
 squarefree ideal and of its dual, and the collapse-map membership test
 that reads VC dimension off the ideal.
@@ -115,10 +115,16 @@ def warn_if_degenerate(c: FunctionClass) -> list[tuple[int, int]]:
 
 
 def class_from_poset(p: SubsetPoset) -> FunctionClass:
-    """The class of indicator functions of the poset elements."""
+    """The class of indicator functions of the poset elements.
+
+    ``p`` becomes the class's support poset: the canonical element order
+    does not depend on input order, so a rebuild would equal it.
+    """
     if len(p) == 0:
         raise ValidationError("cannot form a function class from an empty poset")
-    return FunctionClass(p.n, p.elements)
+    c = FunctionClass(p.n, p.elements)
+    c._support_poset = p
+    return c
 
 
 def _is_shattered_brute(c: FunctionClass, u: int) -> bool:
@@ -131,53 +137,17 @@ def _is_shattered_brute(c: FunctionClass, u: int) -> bool:
     return len(seen) == want
 
 
-def _is_shattered_closure(p: SubsetPoset, u: int) -> bool:
-    # Shattering criterion for intersection-closed families: for every
-    # A <= U, the closure of A meets U only in A.
-    n = p.n
-    sub = u
-    while True:
-        cl = p.closure(Subset(n, sub))
-        if cl is None or cl.bits & (u & ~sub):
-            return False
-        if sub == 0:
-            return True
-        sub = (sub - 1) & u
-
-
-def is_shattered(c: FunctionClass, u: Subset, method: str = "brute") -> bool:
-    """Is every Boolean function on ``u`` a restriction of a class member?
-
-    ``method`` is "brute" (check all restrictions), "closure" (the
-    intersection-closed criterion; rejected on other classes), or
-    "auto" (closure when available).
-    """
+def is_shattered(c: FunctionClass, u: Subset) -> bool:
+    """Is every Boolean function on ``u`` a restriction of a class member?"""
     if not isinstance(u, Subset) or u.n != c.n:
         raise ValidationError(f"{u!r} does not live on ground size {c.n}")
-    if method == "auto":
-        method = "closure" if c.is_intersection_closed() else "brute"
-    if method == "brute":
-        return _is_shattered_brute(c, u.bits)
-    if method == "closure":
-        if not c.is_intersection_closed():
-            raise ValidationError(
-                "closure-based shattering requires an intersection-closed class"
-            )
-        return _is_shattered_closure(c.support_poset(), u.bits)
-    raise ValidationError(f"unknown shattering method {method!r}")
+    return _is_shattered_brute(c, u.bits)
 
 
-def _shattered_levels(c: FunctionClass, method: str) -> list[list[int]]:
+def _shattered_levels(c: FunctionClass) -> list[list[int]]:
     # Level-wise search with subset pruning: a set can be shattered only
     # if all its one-element-smaller subsets are.
     n = c.n
-    if method == "auto":
-        method = "closure" if c.is_intersection_closed() else "brute"
-    if method == "closure":
-        poset = c.support_poset()
-        test = lambda u: _is_shattered_closure(poset, u)
-    else:
-        test = lambda u: _is_shattered_brute(c, u)
     levels = [[0]]  # the empty set is shattered by any nonempty class
     while True:
         prev = set(levels[-1])
@@ -192,22 +162,22 @@ def _shattered_levels(c: FunctionClass, method: str) -> list[list[int]]:
                     continue
                 if all((t & ~(1 << w)) in prev for w in range(n) if t >> w & 1):
                     candidates.add(t)
-        nxt = sorted(u for u in candidates if test(u))
+        nxt = sorted(u for u in candidates if _is_shattered_brute(c, u))
         if not nxt:
             return levels
         levels.append(nxt)
 
 
-def vc_dimension(c: FunctionClass, method: str = "auto") -> int:
+def vc_dimension(c: FunctionClass) -> int:
     """Size of the largest shattered subset."""
-    return len(_shattered_levels(c, method)) - 1
+    return len(_shattered_levels(c)) - 1
 
 
 def shatter_complex(c: FunctionClass):
     """The simplicial complex of all shattered subsets of [n]."""
     from .complexes import SimplicialComplex
 
-    faces = [u for level in _shattered_levels(c, "auto") for u in level]
+    faces = [u for level in _shattered_levels(c) for u in level]
     return SimplicialComplex.from_faces(c.n, faces)
 
 

@@ -4,7 +4,7 @@ Verbs: vcdim, hdim, betti, mobius, extentures, shatter, check, build,
 oracle.  Inputs come from a JSON file (--input) or an inline build spec
 (--build KIND:JSON with KIND one of poset, class, matroid, cube, cells,
 formula, complex).  Output is deterministic for fixed input and flags.
-Exit codes: 0 success, 1 validation error, 2 size cap exceeded.
+Exit codes: 0 success, 1 validation or usage error, 2 size cap exceeded.
 """
 
 from __future__ import annotations
@@ -196,8 +196,7 @@ def _parse_index_set(text: str, n: int) -> Subset:
 
 def _cmd_vcdim(args) -> int:
     loaded = _load_input(args)
-    method = args.method or "auto"
-    print(vc_dimension(loaded.as_class(), method=method))
+    print(vc_dimension(loaded.as_class()))
     return 0
 
 
@@ -217,10 +216,10 @@ def _cmd_mobius(args) -> int:
     loaded = _load_input(args)
     poset = loaded.as_poset()
     if args.all:
-        for a in poset.elements:
-            for b in poset.elements:
-                if a.bits & b.bits == a.bits:
-                    print(f"{a} {b} {poset.mobius(a, b)}")
+        for i, a in enumerate(poset.elements):
+            print(f"{a} {a} 1")
+            for j, _, _, mu, _ in poset.intervals_above(i):
+                print(f"{a} {poset.elements[j]} {mu}")
         return 0
     bottom, top = poset.bottom(), poset.top()
     if bottom is None or top is None:
@@ -239,10 +238,9 @@ def _cmd_extentures(args) -> int:
 def _cmd_shatter(args) -> int:
     loaded = _load_input(args)
     cls = loaded.as_class()
-    method = args.method or "auto"
     if args.set is not None:
         u = _parse_index_set(args.set, cls.n)
-        print("yes" if is_shattered(cls, u, method) else "no")
+        print("yes" if is_shattered(cls, u) else "no")
         return 0
     complex_ = shatter_complex(cls)
     facets = sorted(
@@ -333,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("vcdim", help="VC dimension of a class")
     _add_io_arguments(p)
-    p.add_argument("--method", choices=["auto", "brute", "closure"])
     p.set_defaults(func=_cmd_vcdim)
 
     p = subs.add_parser("hdim", help="homological dimension of a class")
@@ -358,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("shatter", help="shattered sets of a class")
     _add_io_arguments(p)
     p.add_argument("--set", help="comma-separated indices to test")
-    p.add_argument("--method", choices=["auto", "brute", "closure"])
     p.set_defaults(func=_cmd_shatter)
 
     p = subs.add_parser("check", help="structural checks on a poset or complex")
@@ -386,7 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if e.code else 0
     try:
         return args.func(args)
     except CapExceededError as e:

@@ -299,30 +299,6 @@ def truncated_order_complex(interval: Interval) -> SimplicialComplex:
     return order_complex(interior)
 
 
-def _chain_count(down: list[int], interior: int) -> int:
-    """Number of chains of the elements in ``interior``, the empty chain included.
-
-    ``counts[x]`` is the number of chains with top x; ascending indices
-    follow the linear extension, so every element below x is done first.
-    """
-    counts: dict[int, int] = {}
-    total = 1
-    rest = interior
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        x = low.bit_length() - 1
-        c = 1
-        below = down[x] & interior
-        while below:
-            y = below & -below
-            below ^= y
-            c += counts[y.bit_length() - 1]
-        counts[x] = c
-        total += c
-    return total
-
-
 def _crosscut_faces(
     verts: list[int], bounds: list[int], interior: int, limit: int
 ) -> list[int] | None:
@@ -349,7 +325,7 @@ def _crosscut_faces(
 
 
 def interval_complex(
-    p: SubsetPoset, i: int, j: int, crosscut: bool = True
+    p: SubsetPoset, i: int, j: int, chains: int, crosscut: bool = True
 ) -> SimplicialComplex:
     """A complex with the reduced homology of the open interval (e_i, e_j) of ``p``.
 
@@ -367,7 +343,8 @@ def interval_complex(
     Handbook of Combinatorics, 1995, Thm 10.8).  When the crosscut
     complex has more faces than the interior has chains, or without
     ``crosscut``, the result is the order complex of the interior, on
-    the vertices of ``p``.
+    the vertices of ``p``.  ``chains`` is that chain count, the empty
+    chain included, as ``SubsetPoset.intervals_above`` gives it.
     """
     up, down = p._up_strict, p._down_strict
     if i == j:
@@ -381,12 +358,7 @@ def interval_complex(
         atoms = _bits(p._covers_up[i] & down[j])
         coatoms = [x for x in _bits(interior) if not up[x] & interior]
         verts, bounds = (atoms, up) if len(atoms) <= len(coatoms) else (coatoms, down)
-        # At most 2^k crosscut faces against at least 1 + |interior| chains:
-        # the chains need counting only when the first can pass the second.
-        limit = 1 << len(verts)
-        if limit > 1 + interior.bit_count():
-            limit = _chain_count(down, interior)
-        faces = _crosscut_faces(verts, bounds, interior, limit)
+        faces = _crosscut_faces(verts, bounds, interior, chains)
         if faces is not None:
             return SimplicialComplex.from_faces(len(verts), faces)
     return SimplicialComplex.from_faces(len(p), p.chain_masks(interior))
@@ -453,12 +425,12 @@ def is_interval_cm(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> bool:
     lattices.
     """
     crosscut = p.is_intersection_closed()
-    for i, j, rank, graded in p.interval_ranks():
+    for i, j, rank, graded, _, chains in p.intervals():
         if rank <= 1:
             continue
         if not graded:
             return False
-        k = interval_complex(p, i, j, crosscut)
+        k = interval_complex(p, i, j, chains, crosscut)
         chain = ChainHomology(k.faces_by_dim(), fieldspec)
         if any(chain.betti(d) for d in range(-1, rank - 2)):
             return False

@@ -5,8 +5,9 @@ induced inclusion order.  Elements are kept in a canonical linear
 extension (by cardinality, then by bit value), which downstream code
 relies on: in any stored chain the element of smallest index is the
 minimum.  Cover relations are found eagerly by transitive reduction of
-the comparability masks; Moebius values are memoized per pair and
-evaluated iteratively along the linear extension.
+the comparability masks.  Every interval invariant (rank, gradedness,
+Moebius value, chain count of the open part) comes from one pass per
+bottom element along the linear extension, ``intervals_above``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class SubsetPoset:
         "_up_strict",
         "_down_strict",
         "_covers_up",
-        "_mobius_memo",
+        "_covers_down",
     )
 
     def __init__(self, n: int, elements: Iterable[Subset]) -> None:
@@ -78,6 +79,7 @@ class SubsetPoset:
         self._up_strict = up
         self._down_strict = down
         covers = [0] * size
+        covers_down = [0] * size
         for i in range(size):
             rest = up[i]
             while rest:
@@ -86,8 +88,9 @@ class SubsetPoset:
                 rest ^= bit
                 if up[i] & down[j] == 0:
                     covers[i] |= bit
+                    covers_down[j] |= 1 << i
         self._covers_up = covers
-        self._mobius_memo: dict[tuple[int, int], int] = {}
+        self._covers_down = covers_down
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "SubsetPoset":
@@ -153,48 +156,67 @@ class SubsetPoset:
             depth[j] = best
         return max(depth)
 
-    def interval_ranks(self) -> Iterator[tuple[int, int, int, bool]]:
-        """``(i, j, rank, graded)`` for every closed interval [e_i, e_j], i < j.
+    def intervals_above(self, i: int) -> Iterator[tuple[int, int, bool, int, int]]:
+        """``(j, rank, graded, mu, chains)`` for every e_j > e_i, by ascending j.
 
-        One longest-chain pass per bottom element i gives the depth of
-        every element above it, and the rank of [e_i, e_j] is the depth
-        of e_j.  The interval is graded iff every cover x < y inside it
-        raises the depth by exactly one.  Pairs come by ascending i,
-        then descending j.
+        One pass along the linear extension above e_i, so every element
+        below e_j is done when e_j is reached:
+
+        * rank is the longest-chain depth of e_j above e_i, taken over
+          covers; [e_i, e_j] is graded iff every cover x < y inside it
+          raises the depth by exactly one;
+        * mu is the Moebius value mu(e_i, e_j) = -sum of mu(e_i, x) over
+          e_i <= x < e_j (Rota, "On the foundations of combinatorial
+          theory I", 1964);
+        * chains counts the chains of the open interval (e_i, e_j), the
+          empty chain included: 1 plus, for each interior x, the chains
+          of (e_i, x), which are those with top x.
+
+        mu and chains share one loop over the interior.
         """
+        up = self._up_strict[i]
+        span = up | 1 << i
+        down, covers_down = self._down_strict, self._covers_down
         size = len(self._masks)
-        covers_down = [0] * size
-        for i, cov in enumerate(self._covers_up):
-            rest = cov
-            while rest:
-                j = rest.bit_length() - 1
-                rest ^= 1 << j
-                covers_down[j] |= 1 << i
-        for i in range(size):
-            up = self._up_strict[i]
-            span = up | 1 << i
-            depth = {i: 0}
-            ungraded = 0
-            rest = up
-            while rest:  # ascending indices follow the linear extension
-                low = rest & -rest
-                rest ^= low
-                j = low.bit_length() - 1
-                below = covers_down[j] & span  # never empty: [e_i, e_j] is finite
-                cover_depths = set()
-                while below:
-                    x = below.bit_length() - 1
-                    below ^= 1 << x
-                    cover_depths.add(depth[x])
-                depth[j] = max(cover_depths) + 1
-                if len(cover_depths) > 1:
-                    ungraded |= low
-            rest = up
-            while rest:
-                j = rest.bit_length() - 1
-                bit = 1 << j
-                rest ^= bit
-                yield i, j, depth[j], not ungraded & (self._down_strict[j] | bit)
+        depth, mu, chains = [0] * size, [0] * size, [0] * size
+        ungraded = 0
+        rest = up
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            below = covers_down[j] & span  # never empty: [e_i, e_j] is finite
+            x = below.bit_length() - 1
+            below ^= 1 << x
+            hi = lo = depth[x]
+            while below:
+                x = below.bit_length() - 1
+                below ^= 1 << x
+                d = depth[x]
+                if d > hi:
+                    hi = d
+                elif d < lo:
+                    lo = d
+            depth[j] = hi + 1
+            if lo != hi:
+                ungraded |= low
+            m = c = 1  # e_i itself, and the empty chain
+            inner = down[j] & up
+            while inner:
+                x = inner.bit_length() - 1
+                inner ^= 1 << x
+                m += mu[x]
+                c += chains[x]
+            mu[j] = -m
+            chains[j] = c
+            yield j, hi + 1, not ungraded & (down[j] | low), -m, c
+
+    def intervals(self) -> Iterator[tuple[int, int, int, bool, int, int]]:
+        """``(i, j, rank, graded, mu, chains)`` for every e_i < e_j, from
+        ``intervals_above`` by ascending i, then ascending j."""
+        for i in range(len(self._masks)):
+            for row in self.intervals_above(i):
+                yield (i, *row)
 
     def cover_relations(self) -> list[tuple[Subset, Subset]]:
         out = []
@@ -305,47 +327,28 @@ class SubsetPoset:
                 out.append(self.elements[low.bit_length() - 1])
             yield tuple(out)
 
-    def _interval_indices(self, a: Subset, b: Subset) -> list[int]:
-        lo, hi = a.bits, b.bits
-        return [
-            i
-            for i, m in enumerate(self._masks)
-            if lo & m == lo and m & hi == m
-        ]
-
     def interval(self, a: Subset, b: Subset, open: bool = False) -> "Interval":
         self._require_member(a)
         self._require_member(b)
         if a.bits & b.bits != a.bits:
             raise ValidationError(f"interval endpoints must satisfy {a} <= {b}")
-        members = self._interval_indices(a, b)
+        lo, hi = a.bits, b.bits
+        members = [i for i, m in enumerate(self._masks) if lo & m == lo and m & hi == m]
         if open:
             members = [i for i in members if self._masks[i] not in (a.bits, b.bits)]
         return Interval(lo=a, hi=b, members=self.restrict(members), is_open=open)
 
     def mobius(self, a: Subset, b: Subset) -> int:
-        """Moebius value mu(a, b) of the induced order, memoized per pair."""
+        """Moebius value mu(a, b) of the induced order, read from a's pass; no memo."""
         self._require_member(a)
         self._require_member(b)
         if a.bits & b.bits != a.bits:
             raise ValidationError(f"mobius requires comparable elements, got {a}, {b}")
-        key = (a.bits, b.bits)
-        memo = self._mobius_memo
-        if key in memo:
-            return memo[key]
-        members = self._interval_indices(a, b)
-        masks = self._masks
-        mu: dict[int, int] = {}
-        for j in members:  # members come in linear-extension order
-            mj = masks[j]
-            if mj == a.bits:
-                mu[j] = 1
-            else:
-                mu[j] = -sum(
-                    mu[i] for i in members if i in mu and masks[i] & mj == masks[i] and masks[i] != mj
-                )
-            memo[(a.bits, mj)] = mu[j]
-        return memo[key]
+        if a == b:
+            return 1
+        top = self._index[b.bits]
+        rows = self.intervals_above(self._index[a.bits])
+        return next(mu for j, _, _, mu, _ in rows if j == top)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,17 @@ def random_intersection_closed_poset(rng: random.Random, max_n: int = 5) -> Subs
     return SubsetPoset.from_masks(n, intersection_closure(masks))
 
 
+def interval_chains(p: SubsetPoset, i: int, j: int) -> int:
+    """Chains of the open interval (e_i, e_j), the empty one included, by enumeration."""
+    lo, hi = p.elements[i].bits, p.elements[j].bits
+    interior = sum(
+        1 << x
+        for x, e in enumerate(p.elements)
+        if lo & e.bits == lo and e.bits & hi == e.bits and e.bits not in (lo, hi)
+    )
+    return sum(1 for _ in p.chain_masks(interior))
+
+
 def random_complex(rng: random.Random, max_n: int = 6) -> SimplicialComplex:
     nv = rng.randint(1, max_n)
     facets = {rng.getrandbits(nv) for _ in range(rng.randint(1, 5))}

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RP2_FACETS, random_intersection_closed_poset
+from conftest import RP2_FACETS, interval_chains, random_intersection_closed_poset
 from suboplex import (
     GF2,
     GF3,
@@ -146,7 +146,7 @@ def comparable_pairs(p: SubsetPoset):
 
 def assert_matches_order_complex(p: SubsetPoset) -> None:
     for i, j in comparable_pairs(p):
-        k = interval_complex(p, i, j)
+        k = interval_complex(p, i, j, interval_chains(p, i, j))
         for field in (GF2, GF3, QQ):
             assert reduced_homology(k, field).nonzero == reference_profile(p, i, j, field)
 
@@ -188,7 +188,8 @@ class TestIntervalComplex:
         p = stacked_antichains()
         assert len(p) == 19 and p.is_intersection_closed()
         top = len(p) - 1
-        k = interval_complex(p, 0, top)
+        assert interval_chains(p, 0, top) == 162
+        k = interval_complex(p, 0, top, 162)
         assert len(k.face_set()) == 162 and k.dim == 2
         # the interior is elements 1..17 of p and 0..16 of the open sub-poset
         oracle = truncated_order_complex(p.interval(p.bottom(), p.top()))
@@ -197,16 +198,32 @@ class TestIntervalComplex:
         # elsewhere the crosscut on the fewer of atoms and coatoms is used:
         # x is the only atom of [a_0, 1] and the only coatom of [0, y_0]
         a0, y0 = p.index(S("1" + "0" * 15)), p.index(S("1" * 8 + "10000000"))
-        for k in (interval_complex(p, a0, top), interval_complex(p, 0, y0)):
+        for i, j in ((a0, top), (0, y0)):
+            k = interval_complex(p, i, j, interval_chains(p, i, j))
             assert k.num_vertices == 1 and len(k.face_set()) == 2
         for field in (GF2, GF3, QQ):
             assert _hdim_of_poset(p, field) == betti_via_intervals(p, field).projective_dimension
+
+    def test_parity_top_interval_falls_back(self):
+        # parity_4 flats: the top interval has 15 atoms and 15 coatoms, whose
+        # crosscut complexes have 1536 faces against 696 chains in the interior
+        from suboplex.builders import formula_class
+        from suboplex.io import formula_from_json
+
+        _, p = formula_class(formula_from_json({"type": "parity_conj", "d": 4}))
+        top = len(p) - 1
+        assert next(row for row in p.intervals_above(0) if row[0] == top)[3:] == (64, 696)
+        assert interval_chains(p, 0, top) == 696
+        k = interval_complex(p, 0, top, 696)
+        assert k.num_vertices == len(p) and len(k.face_set()) == 696
+        for field in (GF2, GF3):
+            assert reduced_homology(k, field).nonzero == reference_profile(p, 0, top, field)
 
     def test_degenerate_intervals(self):
         p = stacked_antichains()
         covers = set(p.cover_relations())
         for i, j in comparable_pairs(p):
-            k = interval_complex(p, i, j)
+            k = interval_complex(p, i, j, interval_chains(p, i, j))
             if i == j:
                 assert k.is_null and reduced_homology(k).nonzero == {}
             elif (p.elements[i], p.elements[j]) in covers:
@@ -217,7 +234,7 @@ class TestIntervalComplex:
     def test_rejects_incomparable_endpoints(self):
         p = SubsetPoset.from_strings(["00", "10", "01"])
         with pytest.raises(ValidationError):
-            interval_complex(p, 1, 2)
+            interval_complex(p, 1, 2, 1)
 
     def test_characteristic_dependence_through_crosscut(self):
         # every face of RP^2, the empty face included, plus the top {0..5}
@@ -308,8 +325,9 @@ class TestHomologicalDimension:
             p = random_intersection_closed_poset(rng, max_n=4)
             if len(p) == 0:
                 continue
-            table = betti_via_intervals(p)
-            assert _hdim_of_poset(p, GF2) == table.projective_dimension
+            for field in (GF2, GF3):
+                table = betti_via_intervals(p, field)
+                assert _hdim_of_poset(p, field) == table.projective_dimension
 
     def test_hdim_at_most_rank(self, rng):
         for _ in range(50):

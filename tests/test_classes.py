@@ -27,6 +27,23 @@ def S(s: str) -> Subset:
     return Subset.from_string(s)
 
 
+def closure_shattered(p: SubsetPoset, u: int) -> bool:
+    """The shattering lemma for an intersection-closed family ``p``.
+
+    ``u`` is shattered iff for every A <= u some member contains A, and
+    the closure of A (the meet of the members containing it) meets u
+    only in A.
+    """
+    sub = u
+    while True:
+        cl = p.closure(Subset(p.n, sub))
+        if cl is None or cl.bits & (u & ~sub):
+            return False
+        if sub == 0:
+            return True
+        sub = (sub - 1) & u
+
+
 def brute_extentures(c: FunctionClass) -> set[str]:
     """Independent reference: scan all (ones, zeros) pairs directly."""
     n = c.n
@@ -76,6 +93,13 @@ class TestClassConstruction:
         c = class_from_poset(SubsetPoset.from_masks(2, range(4)))
         assert c == FunctionClass.full_class(2)
 
+    def test_keeps_the_poset_as_its_support(self, rng):
+        for _ in range(20):
+            p = random_intersection_closed_poset(rng)
+            c = class_from_poset(p)
+            assert c.support_poset() is p
+            assert SubsetPoset(c.n, c.members) == p
+
     def test_empty_poset_rejected(self):
         with pytest.raises(ValidationError):
             class_from_poset(SubsetPoset(2, []))
@@ -103,19 +127,17 @@ class TestShattering:
             assert is_shattered(c, Subset.empty(c.n))
 
     def test_methods_agree_on_intersection_closed(self, rng):
+        outcomes = set()
         for _ in range(60):
             p = random_intersection_closed_poset(rng, max_n=4)
             if len(p) == 0:
                 continue
             c = class_from_poset(p)
             for u in range(1 << c.n):
-                sub = Subset(c.n, u)
-                assert is_shattered(c, sub, "brute") == is_shattered(c, sub, "closure")
-
-    def test_closure_method_rejected_otherwise(self):
-        c = FunctionClass.from_strings(["10", "01"])
-        with pytest.raises(ValidationError):
-            is_shattered(c, S("11"), "closure")
+                shattered = is_shattered(c, Subset(c.n, u))
+                assert shattered == closure_shattered(p, u)
+                outcomes.add(shattered)
+        assert outcomes == {True, False}
 
 
 class TestVcDimension:
@@ -132,7 +154,6 @@ class TestVcDimension:
         for _ in range(150):
             c = random_class(rng)
             assert vc_dimension(c) == vc_oracle(c)
-            assert vc_dimension(c, "brute") == vc_oracle(c)
 
 
 class TestShatterComplex:

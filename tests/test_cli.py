@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import suboplex
-from conftest import RP2_FACETS
+from conftest import RP2_FACETS, random_intersection_closed_poset
+from suboplex import SubsetPoset
 from suboplex.bundled import U11_U23_BETTI_TEXT
 from suboplex.cli import main
 
@@ -45,6 +46,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out.rstrip("\n"), captured.err.rstrip("\n")
+
+
+def pairwise_mobius_lines(p: SubsetPoset) -> list[str]:
+    """``mobius --all`` lines from the recursion run separately for each pair."""
+    lines = []
+    for a in p.elements:
+        for b in p.elements:
+            if a.bits & b.bits != a.bits:
+                continue
+            members = [
+                e for e in p.elements if a.bits & e.bits == a.bits and e.bits & b.bits == e.bits
+            ]
+            mu = {}
+            for x in members:  # members come in linear-extension order
+                mu[x] = 1 if x == a else -sum(
+                    v for y, v in mu.items() if y.bits & x.bits == y.bits and y != x
+                )
+            lines.append(f"{a} {b} {mu[b]}")
+    return lines
 
 
 class TestBetti:
@@ -177,6 +197,17 @@ class TestOtherVerbs:
     def test_mobius_all(self, capsys, flag_poset_file):
         code, out, _ = run(capsys, "mobius", "--all", "--input", flag_poset_file)
         assert "0000 0111 2" in out.splitlines()
+        flagship = SubsetPoset.from_strings(FLAG_POSET["elements"])
+        assert code == 0 and out.splitlines() == pairwise_mobius_lines(flagship)
+
+    def test_mobius_all_matches_pairwise_recursion(self, capsys, tmp_path, rng):
+        p = random_intersection_closed_poset(rng, max_n=6)
+        while len(p) < 12:
+            p = random_intersection_closed_poset(rng, max_n=6)
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps({"n": p.n, "elements": [str(e) for e in p.elements]}))
+        code, out, _ = run(capsys, "mobius", "--all", "--input", str(path))
+        assert code == 0 and out.splitlines() == pairwise_mobius_lines(p)
 
     def test_extentures(self, capsys):
         code, out, _ = run(
@@ -260,6 +291,16 @@ class TestErrors:
                 'class:{"n":8,"functions":["10000000"]}',
             )
         assert code == 2 and "capped" in err
+
+    def test_usage_error_exits_1(self, capsys, flag_poset_file):
+        code, _, err = run(capsys, "vcdim", "--method", "brute", "--input", flag_poset_file)
+        assert code == 1 and "unrecognized arguments: --method" in err
+        code, _, err = run(capsys, "nope")
+        assert code == 1 and "invalid choice" in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, "vcdim", "--help")
+        assert code == 0 and out.startswith("usage: suboplex vcdim")
 
     def test_both_sources_rejected(self, capsys, flag_poset_file):
         code, _, err = run(

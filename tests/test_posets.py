@@ -1,7 +1,14 @@
 import pytest
 
-from conftest import random_intersection_closed_poset, random_poset
-from suboplex import Subset, SubsetPoset, ValidationError, build_poset
+from conftest import interval_chains, random_intersection_closed_poset, random_poset
+from suboplex import (
+    Subset,
+    SubsetPoset,
+    ValidationError,
+    build_poset,
+    reduced_euler_characteristic,
+    truncated_order_complex,
+)
 from suboplex.bundled import bowtie_poset, u11_u23_flats
 from suboplex.io import poset_from_json, poset_to_json
 
@@ -210,12 +217,12 @@ class TestInterval:
                         assert p.interval(a, b).members.rank() <= r
 
     def test_interval_ranks_match_sub_posets(self, rng):
-        posets = [random_poset(rng) for _ in range(30)]
-        posets += [random_intersection_closed_poset(rng, max_n=6) for _ in range(60)]
+        posets = [random_poset(rng) for _ in range(200)]
+        posets += [random_intersection_closed_poset(rng, max_n=6) for _ in range(200)]
         outcomes = set()
         for p in posets:
-            seen = set()
-            for i, j, rank, graded in p.interval_ranks():
+            seen = []
+            for i, j, rank, graded, _, _ in p.intervals():
                 a, b = p.elements[i], p.elements[j]
                 assert a != b and a.bits & b.bits == a.bits
                 members = p.interval(a, b).members
@@ -229,14 +236,27 @@ class TestInterval:
                 }
                 assert graded == (len(lengths) == 1)
                 outcomes.add(graded)
-                seen.add((i, j))
-            assert seen == {
+                seen.append((i, j))
+            assert seen == [
                 (i, j)
                 for i, a in enumerate(p.elements)
                 for j, b in enumerate(p.elements)
                 if a != b and a.bits & b.bits == a.bits
-            }
+            ]
         assert outcomes == {True, False}
+
+    def test_mu_and_chains_match_references(self, rng):
+        # mu by Hall's theorem: the reduced Euler characteristic of the
+        # open interval's order complex; chains by enumeration
+        posets = [random_poset(rng) for _ in range(200)]
+        posets += [random_intersection_closed_poset(rng, max_n=6) for _ in range(200)]
+        for p in posets:
+            for i, j, _, _, mu, chains in p.intervals():
+                a, b = p.elements[i], p.elements[j]
+                assert mu == reduced_euler_characteristic(
+                    truncated_order_complex(p.interval(a, b))
+                )
+                assert chains == interval_chains(p, i, j)
 
 
 class TestMobius:

@@ -10,7 +10,6 @@ cross-checking every fast path.
 from .betti import (
     BettiTable,
     LabeledComplex,
-    betti_table_render,
     betti_via_intervals,
     betti_via_mobius,
     cellular_resolution,
@@ -22,9 +21,7 @@ from .bitsets import (
     SquarefreeMonomial,
     Subset,
     delta,
-    divides,
     intersect,
-    lcm,
     monomial,
 )
 from .classes import (
@@ -55,7 +52,7 @@ from .complexes import (
 from .errors import CapExceededError, ValidationError
 from .linalg import GF2, GF3, QQ, FieldSpec
 from .oracles import betti_oracle, regularity_oracle, vc_oracle
-from .posets import Interval, SubsetPoset, build_poset, intersection_closure
+from .posets import Interval, SubsetPoset, intersection_closure
 
 __version__ = "0.1.0"
 
@@ -78,15 +75,12 @@ __all__ = [
     "SubsetPoset",
     "ValidationError",
     "betti_oracle",
-    "betti_table_render",
     "betti_via_intervals",
     "betti_via_mobius",
-    "build_poset",
     "cellular_resolution",
     "class_from_poset",
     "collapse_membership",
     "delta",
-    "divides",
     "dual_ideal",
     "extentures",
     "flip_class",
@@ -97,7 +91,6 @@ __all__ = [
     "is_cohen_macaulay",
     "is_interval_cm",
     "is_shattered",
-    "lcm",
     "monomial",
     "order_complex",
     "reduced_euler_characteristic",

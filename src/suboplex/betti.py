@@ -5,7 +5,9 @@ complex of P, with each chain labeled by the monomial m(min, max),
 resolves the dual ideal of the associated function class.  Multigraded
 Betti numbers are read off per closed interval [A, B] from the reduced
 homology of the open interval (A, B), or, on interval Cohen-Macaulay
-posets, directly from Moebius values.
+posets, directly from Moebius values.  Interval Cohen-Macaulayness
+depends on the field, so ``betti_via_mobius`` checks it over the
+field it is given and refuses posets that fail it.
 
 Every closed interval of P is a lattice with bitwise AND as meet, so
 Rota's crosscut theorem (Bjorner, "Topological methods", Handbook of
@@ -25,7 +27,6 @@ against.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .bitsets import SquarefreeMonomial, monomial
@@ -34,6 +35,7 @@ from .complexes import (
     ChainHomology,
     SimplicialComplex,
     interval_complex,
+    is_interval_cm,
     order_complex,
     reduced_homology,
 )
@@ -112,10 +114,6 @@ class BettiTable:
         if not isinstance(other, BettiTable):
             return NotImplemented
         return self.n == other.n and self.entries == other.entries
-
-
-def betti_table_render(table: BettiTable) -> str:
-    return table.render()
 
 
 @dataclass(frozen=True)
@@ -214,21 +212,20 @@ def betti_via_intervals(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTabl
     return BettiTable(n=p.n, entries=entries)
 
 
-def betti_via_mobius(p: SubsetPoset, interval_cm_checked: bool = False) -> BettiTable:
-    """Betti numbers from Moebius values, valid on interval Cohen-Macaulay posets.
+def betti_via_mobius(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTable:
+    """Betti numbers from Moebius values, on interval Cohen-Macaulay posets.
 
     beta_{i, m(A,B)} = |mu(A, B)| when the interval [A, B] has rank i.
-    Field-independent.  Callers should verify interval Cohen-
-    Macaulayness first (``is_interval_cm``); otherwise a warning is
-    emitted since the formula can be wrong on other posets.
+    The formula holds only where ``p`` is interval Cohen-Macaulay over
+    the field, and that depends on the field, so ``is_interval_cm(p,
+    fieldspec)`` is checked first and a failure raises
+    ``ValidationError``.
     """
     if not p.is_intersection_closed():
         raise ValidationError("Moebius Betti numbers require an intersection-closed poset")
-    if not interval_cm_checked:
-        warnings.warn(
-            "interval Cohen-Macaulayness was not verified; Moebius Betti numbers "
-            "are only valid on interval Cohen-Macaulay posets",
-            stacklevel=2,
+    if not is_interval_cm(p, fieldspec):
+        raise ValidationError(
+            "Moebius Betti numbers require an interval Cohen-Macaulay poset"
         )
     entries: dict[tuple[int, SquarefreeMonomial], int] = {}
     for a in p.elements:

@@ -58,10 +58,6 @@ class Subset:
         return cls(n, 0)
 
     @classmethod
-    def full(cls, n: int) -> "Subset":
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "Subset":
         bits = 0
         for i in indices:
@@ -157,16 +153,6 @@ class PartialFunction:
     @property
     def is_total(self) -> bool:
         return self.domain.bits == (1 << self.n) - 1
-
-    @classmethod
-    def from_pattern(cls, s: str) -> "PartialFunction":
-        """Parse a pattern over {0,1,*}: character i is f(i), '*' = undefined."""
-        if not s or any(c not in "01*" for c in s):
-            raise ValidationError(f"pattern must be nonempty over {{0,1,*}}, got {s!r}")
-        n = len(s)
-        ones = sum(1 << i for i, c in enumerate(s) if c == "1")
-        zeros = sum(1 << i for i, c in enumerate(s) if c == "0")
-        return cls(Subset(n, ones), Subset(n, zeros))
 
     def pattern(self) -> str:
         out = []
@@ -268,14 +254,6 @@ def monomial(a: Subset, b: Subset) -> SquarefreeMonomial:
     if not a.issubset(b):
         raise ValidationError("m(A, B) requires A to be a subset of B")
     return SquarefreeMonomial(support0=b, support1=a.complement())
-
-
-def divides(m1: SquarefreeMonomial, m2: SquarefreeMonomial) -> bool:
-    return m1.divides(m2)
-
-
-def lcm(m1: SquarefreeMonomial, m2: SquarefreeMonomial) -> SquarefreeMonomial:
-    return m1.lcm(m2)
 
 
 def intersect(f: PartialFunction, g: PartialFunction) -> PartialFunction:

@@ -10,8 +10,6 @@ from .matroids import (
     Matroid,
     MinorMatroid,
     UniformMatroid,
-    lattice_of_flats,
-    matroid_minor,
 )
 
 __all__ = [
@@ -27,7 +25,5 @@ __all__ = [
     "cube_faces",
     "face_poset",
     "formula_class",
-    "lattice_of_flats",
-    "matroid_minor",
     "simplex_input",
 ]

@@ -217,11 +217,3 @@ class MinorMatroid(Matroid):
             if mask >> i & 1:
                 lifted |= 1 << e
         return self.base.rank_mask(lifted) - self._rank_f
-
-
-def lattice_of_flats(m: Matroid) -> SubsetPoset:
-    return m.flats()
-
-
-def matroid_minor(m: Matroid, f: Subset, g: Subset) -> MinorMatroid:
-    return m.minor(f, g)

@@ -269,9 +269,6 @@ class IdealGenerators:
     def __iter__(self):
         return iter(self.gens)
 
-    def contains_monomial(self, m: SquarefreeMonomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
-
 
 def suboplex_ideal(c: FunctionClass) -> IdealGenerators:
     """Minimal generators of the class's squarefree ideal.

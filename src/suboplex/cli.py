@@ -3,7 +3,14 @@
 Verbs: vcdim, hdim, betti, mobius, extentures, shatter, check, build,
 oracle.  Inputs come from a JSON file (--input) or an inline build spec
 (--build KIND:JSON with KIND one of poset, class, matroid, cube, cells,
-formula, complex).  Output is deterministic for fixed input and flags.
+formula, complex).  --field takes a prime or Q and defaults to 2.
+Output is deterministic for fixed input and flags.
+
+``betti`` picks its path from the input: the interval sweep on
+intersection-closed posets and classes, the brute-force oracle
+otherwise.  ``betti --method mobius`` reads Moebius values instead and
+fails unless the poset is interval Cohen-Macaulay over the field.
+
 Exit codes: 0 success, 1 validation or usage error, 2 size cap exceeded.
 """
 
@@ -11,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any
 
@@ -41,8 +47,6 @@ from .errors import CapExceededError, ValidationError
 from .linalg import FieldSpec
 from .oracles import betti_oracle, regularity_oracle, vc_oracle
 from .posets import SubsetPoset
-
-FIELD_ENV_VAR = "SUBOPLEX_FIELD"
 
 BUILD_KINDS = ("poset", "class", "matroid", "cube", "cells", "formula", "complex")
 
@@ -154,11 +158,6 @@ def _load_input(args: argparse.Namespace) -> _Loaded:
     return _load_document(kind.strip(), _parse_json(payload, "--build spec"))
 
 
-def _field(args: argparse.Namespace) -> FieldSpec:
-    text = args.field or os.environ.get(FIELD_ENV_VAR) or "2"
-    return FieldSpec.parse(text)
-
-
 def _render_betti(table: BettiTable, fmt: str) -> str:
     if fmt == "json":
         return json.dumps({"entries": table.json_entries()})
@@ -166,23 +165,13 @@ def _render_betti(table: BettiTable, fmt: str) -> str:
 
 
 def _betti_table(loaded: _Loaded, args: argparse.Namespace) -> BettiTable:
-    field = _field(args)
-    method = args.method or "auto"
-    if method in ("auto", "intervals", "mobius"):
-        try:
-            poset = loaded.as_poset()
-        except ValidationError:
-            poset = None
-        if poset is not None and poset.is_intersection_closed():
-            if method == "mobius":
-                if not is_interval_cm(poset, field):
-                    raise ValidationError(
-                        "mobius method requires an interval Cohen-Macaulay poset"
-                    )
-                return betti_via_mobius(poset, interval_cm_checked=True)
+    field = FieldSpec.parse(args.field)
+    if args.method == "mobius":
+        return betti_via_mobius(loaded.as_poset(), field)
+    if loaded.complex is None:
+        poset = loaded.as_poset()
+        if poset.is_intersection_closed():
             return betti_via_intervals(poset, field)
-        if method != "auto":
-            raise ValidationError(f"method {method!r} requires an intersection-closed poset")
     return betti_oracle(dual_ideal(loaded.as_class()), field)
 
 
@@ -202,7 +191,7 @@ def _cmd_vcdim(args) -> int:
 
 def _cmd_hdim(args) -> int:
     loaded = _load_input(args)
-    print(homological_dimension(loaded.as_class(), _field(args)))
+    print(homological_dimension(loaded.as_class(), FieldSpec.parse(args.field)))
     return 0
 
 
@@ -252,7 +241,7 @@ def _cmd_shatter(args) -> int:
 
 def _cmd_check(args) -> int:
     loaded = _load_input(args)
-    field = _field(args)
+    field = FieldSpec.parse(args.field)
     results: list[tuple[str, bool]] = []
     if loaded.complex is not None:
         if not args.cm or args.intersection_closed or args.acyclic or args.interval_cm:
@@ -305,7 +294,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_oracle(args) -> int:
     loaded = _load_input(args)
-    field = _field(args)
+    field = FieldSpec.parse(args.field)
     cls = loaded.as_class()
     if args.what == "betti":
         print(_render_betti(betti_oracle(dual_ideal(cls), field), args.format))
@@ -319,7 +308,9 @@ def _cmd_oracle(args) -> int:
 def _add_io_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", help="path to a JSON input document")
     sub.add_argument("--build", help="inline build spec KIND:JSON")
-    sub.add_argument("--field", help="coefficient field: a prime or Q (default 2)")
+    sub.add_argument(
+        "--field", default="2", help="coefficient field: a prime or Q (default 2)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,7 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("betti", help="Betti table of the dual ideal")
     _add_io_arguments(p)
     p.add_argument("--format", choices=["m2", "json"], default="m2")
-    p.add_argument("--method", choices=["auto", "intervals", "mobius", "oracle"])
+    p.add_argument(
+        "--method",
+        choices=["mobius"],
+        help="Betti numbers from Moebius values; the poset must be interval-CM",
+    )
     p.set_defaults(func=_cmd_betti)
 
     p = subs.add_parser("mobius", help="Moebius values of a poset")

@@ -324,27 +324,25 @@ def _crosscut_faces(
     return faces
 
 
-def interval_complex(
-    p: SubsetPoset, i: int, j: int, chains: int, crosscut: bool = True
-) -> SimplicialComplex:
+def interval_complex(p: SubsetPoset, i: int, j: int, chains: int) -> SimplicialComplex:
     """A complex with the reduced homology of the open interval (e_i, e_j) of ``p``.
 
     Built from the comparability masks of ``p``; no sub-poset is made.
     As in ``truncated_order_complex``, i == j gives the null complex and
     a cover gives the empty complex {emptyset}.
 
-    With ``crosscut``, which is valid when [e_i, e_j] is a lattice (every
-    interval of an intersection-closed poset is one, with bitwise AND as
-    meet), the result is the crosscut complex on the atoms or on the
-    coatoms, whichever are fewer: the sets of atoms with a common upper
-    bound below e_j, or of coatoms with a common lower bound above e_i.
-    Rota's crosscut theorem makes it homotopy equivalent to the order
-    complex of (e_i, e_j) (Rota 1964; Bjorner, "Topological methods",
-    Handbook of Combinatorics, 1995, Thm 10.8).  When the crosscut
-    complex has more faces than the interior has chains, or without
-    ``crosscut``, the result is the order complex of the interior, on
-    the vertices of ``p``.  ``chains`` is that chain count, the empty
-    chain included, as ``SubsetPoset.intervals_above`` gives it.
+    When ``p`` is intersection-closed, every interval is a lattice with
+    bitwise AND as meet, and the result is the crosscut complex on the
+    atoms or on the coatoms, whichever are fewer: the sets of atoms with
+    a common upper bound below e_j, or of coatoms with a common lower
+    bound above e_i.  Rota's crosscut theorem makes it homotopy
+    equivalent to the order complex of (e_i, e_j) (Rota 1964; Bjorner,
+    "Topological methods", Handbook of Combinatorics, 1995, Thm 10.8).
+    On other posets, whose intervals need not be lattices, or when the
+    crosscut complex has more faces than the interior has chains, the
+    result is the order complex of the interior, on the vertices of
+    ``p``.  ``chains`` is that chain count, the empty chain included, as
+    ``SubsetPoset.intervals_above`` gives it.
     """
     up, down = p._up_strict, p._down_strict
     if i == j:
@@ -354,7 +352,7 @@ def interval_complex(
     interior = up[i] & down[j]
     if not interior:
         return SimplicialComplex.empty()
-    if crosscut:
+    if p.is_intersection_closed():
         atoms = _bits(p._covers_up[i] & down[j])
         coatoms = [x for x in _bits(interior) if not up[x] & interior]
         verts, bounds = (atoms, up) if len(atoms) <= len(coatoms) else (coatoms, down)
@@ -420,17 +418,14 @@ def is_interval_cm(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> bool:
     use it.  The answer depends on the field: homology is taken
     over ``fieldspec``.  Rank-0 and rank-1 intervals give the null and
     empty complexes, which count as Cohen-Macaulay.  The homology comes
-    from ``interval_complex``, through crosscuts only when ``p`` is
-    intersection-closed: other posets can have intervals that are not
-    lattices.
+    from ``interval_complex``.
     """
-    crosscut = p.is_intersection_closed()
     for i, j, rank, graded, _, chains in p.intervals():
         if rank <= 1:
             continue
         if not graded:
             return False
-        k = interval_complex(p, i, j, chains, crosscut)
+        k = interval_complex(p, i, j, chains)
         chain = ChainHomology(k.faces_by_dim(), fieldspec)
         if any(chain.betti(d) for d in range(-1, rank - 2)):
             return False

@@ -47,6 +47,7 @@ class SubsetPoset:
         "_down_strict",
         "_covers_up",
         "_covers_down",
+        "_intersection_closed",
     )
 
     def __init__(self, n: int, elements: Iterable[Subset]) -> None:
@@ -91,6 +92,7 @@ class SubsetPoset:
                     covers_down[j] |= 1 << i
         self._covers_up = covers
         self._covers_down = covers_down
+        self._intersection_closed: bool | None = None
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "SubsetPoset":
@@ -230,6 +232,12 @@ class SubsetPoset:
         return out
 
     def is_intersection_closed(self) -> bool:
+        """True iff the AND of every two members is a member; scanned once."""
+        if self._intersection_closed is None:
+            self._intersection_closed = self._scan_intersection_closed()
+        return self._intersection_closed
+
+    def _scan_intersection_closed(self) -> bool:
         masks = self._masks
         idx = self._index
         for i, a in enumerate(masks):
@@ -374,7 +382,3 @@ class Interval:
             if e.bits not in (self.lo.bits, self.hi.bits)
         ]
         return self.members.restrict(keep)
-
-
-def build_poset(n: int, elements: Iterable[Subset]) -> SubsetPoset:
-    return SubsetPoset(n, elements)

@@ -8,7 +8,7 @@ edge (edge 0 the pendant, edges 1,2,3 the triangle).
 
 from __future__ import annotations
 
-from .builders import (
+from suboplex.builders import (
     CellComplexInput,
     DirectSumMatroid,
     GraphicMatroid,
@@ -19,8 +19,8 @@ from .builders import (
     face_poset,
     simplex_input,
 )
-from .classes import FunctionClass, class_from_poset
-from .posets import SubsetPoset
+from suboplex.classes import FunctionClass, class_from_poset
+from suboplex.posets import SubsetPoset
 
 
 def u11_u23_direct_sum() -> Matroid:

@@ -26,6 +26,15 @@ RP2_FACETS = [
 ]
 
 
+def rp2_with_top() -> SubsetPoset:
+    """Every face of RP^2, the empty face included, plus the top {0..5}.
+
+    It is interval Cohen-Macaulay over GF(3) and Q but not over GF(2).
+    """
+    faces = SimplicialComplex.from_facets(6, RP2_FACETS).face_set()
+    return SubsetPoset.from_masks(6, faces | {(1 << 6) - 1})
+
+
 def random_poset(rng: random.Random, max_n: int = 4) -> SubsetPoset:
     n = rng.randint(1, max_n)
     masks = {rng.getrandbits(n) for _ in range(rng.randint(1, 7))}

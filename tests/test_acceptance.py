@@ -8,6 +8,17 @@ import time
 from contextlib import contextmanager
 from math import comb
 
+from bundled import (
+    U11_U23_BETTI_TEXT,
+    bowtie_poset,
+    bundled_face_posets,
+    bundled_matroids,
+    bundled_posets,
+    delta_class,
+    u11_u23_direct_sum,
+    u11_u23_graph,
+    u11_u23_matrix,
+)
 from conftest import random_class, random_intersection_closed_poset
 from suboplex import (
     GF2,
@@ -34,17 +45,6 @@ from suboplex import (
     verify_acyclic,
 )
 from suboplex.builders import FormulaClassSpec, formula_class
-from suboplex.bundled import (
-    U11_U23_BETTI_TEXT,
-    bowtie_poset,
-    bundled_face_posets,
-    bundled_matroids,
-    bundled_posets,
-    delta_class,
-    u11_u23_direct_sum,
-    u11_u23_graph,
-    u11_u23_matrix,
-)
 
 
 @contextmanager
@@ -102,12 +102,10 @@ def test_criterion_04_mobius_formula_on_bundled():
         for name, matroid in bundled_matroids().items():
             poset = matroid.flats()
             assert is_interval_cm(poset), name
-            assert betti_via_mobius(poset, interval_cm_checked=True) == betti_via_intervals(
-                poset
-            ), name
+            assert betti_via_mobius(poset) == betti_via_intervals(poset), name
         for name, poset in bundled_face_posets().items():
             assert is_interval_cm(poset), name
-            table = betti_via_mobius(poset, interval_cm_checked=True)
+            table = betti_via_mobius(poset)
             assert table == betti_via_intervals(poset), name
             bottom = poset.bottom()
             for (i, deg), value in table.entries.items():

@@ -2,17 +2,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RP2_FACETS, interval_chains, random_intersection_closed_poset
+from bundled import (
+    U11_U23_BETTI_TEXT,
+    delta_class,
+    u11_u23_class,
+    u11_u23_direct_sum,
+    u11_u23_flats,
+)
+from conftest import interval_chains, random_intersection_closed_poset, rp2_with_top
 from suboplex import (
     GF2,
     GF3,
     QQ,
-    SimplicialComplex,
     Subset,
     SubsetPoset,
     ValidationError,
     betti_oracle,
-    betti_table_render,
     betti_via_intervals,
     betti_via_mobius,
     cellular_resolution,
@@ -28,13 +33,6 @@ from suboplex import (
     verify_acyclic,
 )
 from suboplex.betti import _hdim_of_poset
-from suboplex.bundled import (
-    U11_U23_BETTI_TEXT,
-    delta_class,
-    u11_u23_class,
-    u11_u23_direct_sum,
-    u11_u23_flats,
-)
 
 
 def S(s: str) -> Subset:
@@ -237,9 +235,7 @@ class TestIntervalComplex:
             interval_complex(p, 1, 2, 1)
 
     def test_characteristic_dependence_through_crosscut(self):
-        # every face of RP^2, the empty face included, plus the top {0..5}
-        faces = SimplicialComplex.from_facets(6, RP2_FACETS).face_set()
-        p = SubsetPoset.from_masks(6, faces | {(1 << 6) - 1})
+        p = rp2_with_top()
         assert len(p) == 33 and p.is_intersection_closed()
         gf2, gf3 = betti_via_intervals(p, GF2), betti_via_intervals(p, GF3)
         assert gf2.totals() == [33, 76, 60, 17, 1]
@@ -252,38 +248,45 @@ class TestIntervalComplex:
 class TestBettiViaMobius:
     def test_flagship_matches_intervals(self):
         p = u11_u23_flats()
-        assert betti_via_mobius(p, interval_cm_checked=True) == betti_via_intervals(p)
+        assert betti_via_mobius(p) == betti_via_intervals(p)
 
     def test_face_poset_entries_are_one(self):
         from suboplex.builders import cube_complex
 
         p = cube_complex(2)
-        table = betti_via_mobius(p, interval_cm_checked=True)
+        table = betti_via_mobius(p)
         assert all(v == 1 for v in table.entries.values())
 
     def test_minor_mobius_numbers(self):
         # the entry at [bottom, {1,2,3}] is the Moebius number of the minor
-        from suboplex.builders import matroid_minor
-
         m = u11_u23_direct_sum()
         p = m.flats()
-        minor = matroid_minor(m, S("0000"), S("0111"))
+        minor = m.minor(S("0000"), S("0111"))
         mf = minor.flats()
-        table = betti_via_mobius(p, interval_cm_checked=True)
+        table = betti_via_mobius(p)
         assert table.get(2, monomial(S("0000"), S("0111"))) == abs(
             mf.mobius(mf.bottom(), mf.top())
         )
 
-    def test_warns_when_unchecked(self):
-        with pytest.warns(UserWarning):
-            betti_via_mobius(u11_u23_flats())
+    def test_checks_interval_cm_over_its_field(self):
+        p = rp2_with_top()
+        with pytest.raises(ValidationError, match="interval Cohen-Macaulay"):
+            betti_via_mobius(p, GF2)
+        for field in (GF3, QQ):
+            assert betti_via_mobius(p, field) == betti_via_intervals(p, field)
 
     def test_matches_intervals_on_interval_cm(self, rng):
+        seen = set()
         for _ in range(40):
             p = random_intersection_closed_poset(rng, max_n=4)
-            if len(p) == 0 or not is_interval_cm(p):
-                continue
-            assert betti_via_mobius(p, interval_cm_checked=True) == betti_via_intervals(p)
+            cm = is_interval_cm(p)
+            seen.add(cm)
+            if cm:
+                assert betti_via_mobius(p) == betti_via_intervals(p)
+            else:
+                with pytest.raises(ValidationError):
+                    betti_via_mobius(p)
+        assert seen == {True, False}
 
 
 class TestRender:
@@ -298,7 +301,7 @@ class TestRender:
     def test_two_element_chain(self):
         p = SubsetPoset.from_strings(["0", "1"])
         table = betti_via_intervals(p)
-        assert betti_table_render(table) == "total: 2 1\n1: 2 1"
+        assert table.render() == "total: 2 1\n1: 2 1"
         assert table == betti_oracle(dual_ideal(class_from_poset(p)))
 
     def test_json_entries_shape(self):

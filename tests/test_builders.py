@@ -2,6 +2,13 @@ from math import comb
 
 import pytest
 
+from bundled import (
+    bundled_matroids,
+    triangle_square_input,
+    u11_u23_direct_sum,
+    u11_u23_graph,
+    u11_u23_matrix,
+)
 from suboplex import (
     CapExceededError,
     Subset,
@@ -19,16 +26,7 @@ from suboplex.builders import (
     cube_complex,
     face_poset,
     formula_class,
-    lattice_of_flats,
-    matroid_minor,
     simplex_input,
-)
-from suboplex.bundled import (
-    bundled_matroids,
-    triangle_square_input,
-    u11_u23_direct_sum,
-    u11_u23_graph,
-    u11_u23_matrix,
 )
 
 
@@ -91,7 +89,7 @@ class TestMatroidClosure:
 
 class TestLatticeOfFlats:
     def test_flagship_ten_flats(self):
-        assert len(lattice_of_flats(u11_u23_direct_sum())) == 10
+        assert len(u11_u23_direct_sum().flats()) == 10
 
     def test_u23_five_flats(self):
         p = UniformMatroid(2, 3).flats()
@@ -119,17 +117,17 @@ class TestLatticeOfFlats:
 class TestMinor:
     def test_identity_minor(self):
         m = u11_u23_direct_sum()
-        minor = matroid_minor(m, m.loops(), S("1111"))
+        minor = m.minor(m.loops(), S("1111"))
         assert minor.flats() == m.flats()
 
     def test_flagship_interval_minor_is_u23(self):
         m = u11_u23_direct_sum()
-        minor = matroid_minor(m, S("0000"), S("0111"))
+        minor = m.minor(S("0000"), S("0111"))
         assert minor.flats() == UniformMatroid(2, 3).flats()
 
     def test_minor_mobius(self):
         m = u11_u23_direct_sum()
-        mf = matroid_minor(m, S("0000"), S("0111")).flats()
+        mf = m.minor(S("0000"), S("0111")).flats()
         assert abs(mf.mobius(mf.bottom(), mf.top())) == 2
 
     def test_minor_lattice_is_interval(self, rng):
@@ -140,7 +138,7 @@ class TestMinor:
                 for g in p.elements:
                     if f.bits & g.bits == f.bits and f != g:
                         iv = p.interval(f, g).members
-                        minor = matroid_minor(m, f, g)
+                        minor = m.minor(f, g)
                         mp = minor.flats()
                         assert len(mp) == len(iv), name
                         assert mp.rank() == iv.rank(), name
@@ -148,7 +146,7 @@ class TestMinor:
     def test_non_flat_rejected(self):
         m = u11_u23_direct_sum()
         with pytest.raises(ValidationError):
-            matroid_minor(m, S("0000"), S("0110"))
+            m.minor(S("0000"), S("0110"))
 
 
 class TestBasisShattering:

@@ -1,5 +1,6 @@
 import pytest
 
+from bundled import delta_class, u11_u23_class
 from conftest import random_class, random_intersection_closed_poset
 from suboplex import (
     CapExceededError,
@@ -19,7 +20,6 @@ from suboplex import (
     vc_dimension,
     warn_if_degenerate,
 )
-from suboplex.bundled import delta_class, u11_u23_class
 from suboplex.oracles import betti_oracle, vc_oracle
 
 

@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 import suboplex
-from conftest import RP2_FACETS, random_intersection_closed_poset
+from bundled import U11_U23_BETTI_TEXT
+from conftest import RP2_FACETS, random_intersection_closed_poset, rp2_with_top
 from suboplex import SubsetPoset
-from suboplex.bundled import U11_U23_BETTI_TEXT
 from suboplex.cli import main
+from suboplex.io import poset_to_json
 
 FLAG_POSET = {
     "n": 4,
@@ -40,6 +41,12 @@ def bowtie_file(tmp_path):
         json.dumps({"n": 4, "elements": ["0000", "1000", "0010", "1100", "0011"]})
     )
     return str(path)
+
+
+RP2_BUILD = "complex:" + json.dumps({
+    "vertices": 6,
+    "facets": [[v for v in range(6) if f >> v & 1] for f in RP2_FACETS],
+})
 
 
 def run(capsys, *argv):
@@ -118,6 +125,24 @@ class TestBetti:
         code, _, err = run(capsys, "betti", "--build", build, "--method", "mobius")
         assert code == 1 and "intersection-closed" in err
 
+    def test_mobius_method_checks_interval_cm_over_the_field(self, capsys):
+        build = "poset:" + json.dumps(poset_to_json(rp2_with_top()))
+        code, _, err = run(capsys, "betti", "--build", build, "--method", "mobius")
+        assert code == 1 and "interval Cohen-Macaulay" in err
+        for field in ("3", "Q"):
+            mobius = run(capsys, "betti", "--build", build, "--method", "mobius", "--field", field)
+            assert mobius[0] == 0
+            assert mobius == run(capsys, "betti", "--build", build, "--field", field)
+
+    @pytest.mark.parametrize("method", ["auto", "intervals", "oracle"])
+    def test_removed_methods_exit_1(self, capsys, flag_poset_file, method):
+        code, _, err = run(capsys, "betti", "--input", flag_poset_file, "--method", method)
+        assert code == 1 and "invalid choice" in err
+
+    def test_help_offers_only_mobius(self, capsys):
+        code, out, _ = run(capsys, "betti", "--help")
+        assert code == 0 and "--method {mobius}" in out
+
 
 class TestDimensions:
     def test_vcdim_from_class_file(self, capsys, tmp_path):
@@ -165,16 +190,12 @@ class TestCheck:
             raise AssertionError("a link was built")
 
         monkeypatch.setattr(suboplex.SimplicialComplex, "link", refuse)
-        rp2 = "complex:" + json.dumps({
-            "vertices": 6,
-            "facets": [[v for v in range(6) if f >> v & 1] for f in RP2_FACETS],
-        })
         cases = [
             (["--interval-cm", "--build", 'matroid:{"type":"uniform","k":4,"m":7}'],
              "interval-CM: yes; CM: yes"),
             (["--cm", "--build", 'cube:{"d":4}'], "CM: yes"),
-            (["--cm", "--build", rp2, "--field", "2"], "CM: no"),
-            (["--cm", "--build", rp2, "--field", "3"], "CM: yes"),
+            (["--cm", "--build", RP2_BUILD, "--field", "2"], "CM: no"),
+            (["--cm", "--build", RP2_BUILD, "--field", "3"], "CM: yes"),
         ]
         for argv, expected in cases:
             assert run(capsys, "check", *argv) == (0, expected, "")
@@ -258,10 +279,10 @@ class TestFieldFlag:
         code, out, _ = run(capsys, "hdim", "--input", flag_poset_file, "--field", "3")
         assert code == 0 and out == "3"
 
-    def test_env_default(self, capsys, flag_poset_file, monkeypatch):
-        monkeypatch.setenv("SUBOPLEX_FIELD", "Q")
-        code, out, _ = run(capsys, "hdim", "--input", flag_poset_file)
-        assert code == 0 and out == "3"
+    def test_default_is_gf2_whatever_the_environment(self, capsys, monkeypatch):
+        # RP^2 is Cohen-Macaulay over GF(3) but not over GF(2)
+        monkeypatch.setenv("SUBOPLEX_FIELD", "3")
+        assert run(capsys, "check", "--cm", "--build", RP2_BUILD) == (0, "CM: no", "")
 
     def test_bad_field(self, capsys, flag_poset_file):
         code, _, err = run(capsys, "hdim", "--input", flag_poset_file, "--field", "4")

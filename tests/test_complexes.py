@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bundled import bowtie_poset, u11_u23_flats
 from conftest import (
     RP2_FACETS,
     random_complex,
@@ -28,7 +29,6 @@ from suboplex import (
     reduced_homology,
     truncated_order_complex,
 )
-from suboplex.bundled import bowtie_poset, u11_u23_flats
 from suboplex.complexes import ChainHomology
 
 HOLLOW_TRIANGLE = SimplicialComplex.from_facets(3, [0b011, 0b101, 0b110])

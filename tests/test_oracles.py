@@ -1,5 +1,6 @@
 import pytest
 
+from bundled import U11_U23_BETTI_TEXT, delta_class, u11_u23_class
 from conftest import random_class
 from suboplex import (
     CapExceededError,
@@ -15,7 +16,6 @@ from suboplex import (
     vc_dimension,
     vc_oracle,
 )
-from suboplex.bundled import U11_U23_BETTI_TEXT, delta_class, u11_u23_class
 
 
 def mono(n: int, s0: str, s1: str) -> SquarefreeMonomial:

@@ -1,15 +1,14 @@
 import pytest
 
+from bundled import bowtie_poset, u11_u23_flats
 from conftest import interval_chains, random_intersection_closed_poset, random_poset
 from suboplex import (
     Subset,
     SubsetPoset,
     ValidationError,
-    build_poset,
     reduced_euler_characteristic,
     truncated_order_complex,
 )
-from suboplex.bundled import bowtie_poset, u11_u23_flats
 from suboplex.io import poset_from_json, poset_to_json
 
 FLAG_ELEMENTS = [
@@ -37,7 +36,7 @@ class TestBuild:
         assert p == u11_u23_flats()
 
     def test_two_chain(self):
-        p = build_poset(1, [S("0"), S("1")])
+        p = SubsetPoset(1, [S("0"), S("1")])
         assert p.rank() == 1
         assert len(p.cover_relations()) == 1
 
@@ -95,6 +94,31 @@ class TestIntersectionClosed:
 
     def test_missing_meet(self):
         assert not SubsetPoset.from_strings(["10", "01"]).is_intersection_closed()
+
+    def test_matches_pair_scan(self, rng):
+        seen = set()
+        for _ in range(200):
+            p = random_poset(rng)
+            masks = {e.bits for e in p}
+            expected = all(a & b in masks for a in masks for b in masks)
+            assert p.is_intersection_closed() == expected
+            seen.add(expected)
+        assert seen == {True, False}
+
+    def test_scans_once_per_poset(self, monkeypatch):
+        scans = []
+        scan = SubsetPoset._scan_intersection_closed
+
+        def counting(self):
+            scans.append(self)
+            return scan(self)
+
+        monkeypatch.setattr(SubsetPoset, "_scan_intersection_closed", counting)
+        p = SubsetPoset.from_strings(["10", "01"])
+        assert not p.is_intersection_closed() and not p.is_intersection_closed()
+        q = u11_u23_flats()
+        assert q.is_intersection_closed() and q.is_intersection_closed()
+        assert scans == [p, q]
 
     def test_closure_membership_criterion(self, rng):
         # V(A) nonempty iff closure(A) in P, for intersection-closed P

@@ -41,7 +41,7 @@ from .classes import (
 from .complexes import (
     HomologyProfile,
     SimplicialComplex,
-    interval_complex,
+    interval_homology,
     is_cohen_macaulay,
     is_interval_cm,
     order_complex,
@@ -87,7 +87,7 @@ __all__ = [
     "homological_dimension",
     "intersect",
     "intersection_closure",
-    "interval_complex",
+    "interval_homology",
     "is_cohen_macaulay",
     "is_interval_cm",
     "is_shattered",

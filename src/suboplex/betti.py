@@ -13,16 +13,15 @@ Every closed interval of P is a lattice with bitwise AND as meet, so
 Rota's crosscut theorem (Bjorner, "Topological methods", Handbook of
 Combinatorics, 1995, Thm 10.8) gives that homology from the complex of
 atom sets with an upper bound below B, or of coatom sets with a lower
-bound above A.  ``interval_complex`` builds the smaller of the two, or
-the order complex of (A, B) when that has fewer faces, straight from
-the comparability masks of P; the Betti and homological-dimension
-sweeps take homology on it.  Every sweep reads the rank, Moebius value
-and chain count of each interval from one pass per bottom element,
-``SubsetPoset.intervals_above``, and walks intervals no other way.
-The labeled order complex stays for
-``cellular_resolution`` and ``verify_acyclic``, and
-``truncated_order_complex`` stays as the reference the tests compare
-against.
+bound above A.  ``interval_homology`` takes the chain complex of the
+smaller of the two, or of the order complex of (A, B) when that has
+fewer faces, straight from the comparability masks of P; no sweep
+builds a ``SimplicialComplex``.  Every sweep reads the rank, Moebius
+value and chain count of each interval from one pass per bottom
+element, ``SubsetPoset.intervals_above``, and walks intervals no other
+way; ``betti_via_mobius`` tests interval Cohen-Macaulayness and reads
+Moebius values in the same pass.  The labeled order complex stays for
+``cellular_resolution`` and ``verify_acyclic``.
 """
 
 from __future__ import annotations
@@ -32,10 +31,9 @@ from dataclasses import dataclass
 from .bitsets import SquarefreeMonomial, monomial
 from .classes import FunctionClass, dual_ideal
 from .complexes import (
-    ChainHomology,
     SimplicialComplex,
-    interval_complex,
-    is_interval_cm,
+    interval_homology,
+    interval_is_cm,
     order_complex,
     reduced_homology,
 )
@@ -193,7 +191,7 @@ def betti_via_intervals(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTabl
 
     beta_0 contributes one generator per poset element in degree
     m(A, A); for i >= 1, beta_{i, m(A,B)} is the (i-2)-nd reduced
-    homology of the open interval (A, B), taken on ``interval_complex``.
+    homology of the open interval (A, B), from ``interval_homology``.
     Only degrees up to rank - 2 are computed: the order complex of
     (A, B) has no faces above them.
     """
@@ -203,7 +201,7 @@ def betti_via_intervals(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTabl
     for a in p.elements:
         entries[(0, monomial(a, a))] = 1
     for i, j, rank, _, _, chains in p.intervals():
-        chain = ChainHomology(interval_complex(p, i, j, chains).faces_by_dim(), fieldspec)
+        chain = interval_homology(p, i, j, chains, fieldspec)
         deg = monomial(p.elements[i], p.elements[j])
         for d in range(-1, rank - 1):
             v = chain.betti(d)
@@ -217,20 +215,19 @@ def betti_via_mobius(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTable:
 
     beta_{i, m(A,B)} = |mu(A, B)| when the interval [A, B] has rank i.
     The formula holds only where ``p`` is interval Cohen-Macaulay over
-    the field, and that depends on the field, so ``is_interval_cm(p,
-    fieldspec)`` is checked first and a failure raises
-    ``ValidationError``.
+    the field, and that depends on the field.  So one pass tests each
+    interval as ``is_interval_cm(p, fieldspec)`` does, raising
+    ``ValidationError`` at the first that fails, and reads mu.
     """
     if not p.is_intersection_closed():
         raise ValidationError("Moebius Betti numbers require an intersection-closed poset")
-    if not is_interval_cm(p, fieldspec):
-        raise ValidationError(
-            "Moebius Betti numbers require an interval Cohen-Macaulay poset"
-        )
     entries: dict[tuple[int, SquarefreeMonomial], int] = {}
     for a in p.elements:
         entries[(0, monomial(a, a))] = 1
-    for i, j, rank, _, mu, _ in p.intervals():
+    for row in p.intervals():
+        if not interval_is_cm(p, row, fieldspec):
+            raise ValidationError("Moebius Betti numbers require an interval Cohen-Macaulay poset")
+        i, j, rank, _, mu, _ = row
         if mu:
             entries[(rank, monomial(p.elements[i], p.elements[j]))] = abs(mu)
     return BettiTable(n=p.n, entries=entries)
@@ -259,7 +256,7 @@ def _hdim_of_poset(p: SubsetPoset, fieldspec: FieldSpec) -> int:
         for j, rank, _, _, chains in sorted(rows, key=lambda row: -row[1]):
             if rank <= best:
                 break
-            chain = ChainHomology(interval_complex(p, i, j, chains).faces_by_dim(), fieldspec)
+            chain = interval_homology(p, i, j, chains, fieldspec)
             for d in range(rank - 2, best - 2, -1):
                 if chain.betti(d):
                     best = d + 2

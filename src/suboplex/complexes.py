@@ -301,15 +301,17 @@ def truncated_order_complex(interval: Interval) -> SimplicialComplex:
 
 def _crosscut_faces(
     verts: list[int], bounds: list[int], interior: int, limit: int
-) -> list[int] | None:
-    """Sets of ``verts`` with a common bound inside ``interior``; None past ``limit``.
+) -> dict[int, list[int]] | None:
+    """Sets of ``verts`` with a common bound inside ``interior``, by dimension.
 
-    ``bounds[v]`` is the strict upper (or lower) set of v.  A face's
-    running AND of ``bounds[v] | 1 << v`` over its vertices is the set
-    of its common bounds in the interior, so a face extends only while
-    that AND is nonzero.  Face bit k stands for ``verts[k]``.
+    None once there are more than ``limit`` faces, the empty one
+    included.  ``bounds[v]`` is the strict upper (or lower) set of v.  A
+    face's running AND of ``bounds[v] | 1 << v`` over its vertices is
+    the set of its common bounds in the interior, so a face extends only
+    while that AND is nonzero.  Face bit k stands for ``verts[k]``.
     """
-    faces = [0]
+    faces = {-1: [0]}
+    count = 1
     stack = [(0, interior, 0)]
     while stack:
         face, common, start = stack.pop()
@@ -317,49 +319,58 @@ def _crosscut_faces(
             v = verts[k]
             narrowed = common & (bounds[v] | 1 << v)
             if narrowed:
-                faces.append(face | 1 << k)
-                if len(faces) > limit:
+                count += 1
+                if count > limit:
                     return None
+                faces.setdefault(face.bit_count(), []).append(face | 1 << k)
                 stack.append((face | 1 << k, narrowed, k + 1))
     return faces
 
 
-def interval_complex(p: SubsetPoset, i: int, j: int, chains: int) -> SimplicialComplex:
-    """A complex with the reduced homology of the open interval (e_i, e_j) of ``p``.
+def interval_homology(
+    p: SubsetPoset, i: int, j: int, chains: int, fieldspec: FieldSpec
+) -> ChainHomology:
+    """Reduced homology of the open interval (e_i, e_j) of ``p`` over the field.
 
-    Built from the comparability masks of ``p``; no sub-poset is made.
-    As in ``truncated_order_complex``, i == j gives the null complex and
-    a cover gives the empty complex {emptyset}.
+    The faces come straight from the comparability masks of ``p``, with
+    no sub-poset and no ``SimplicialComplex``, sorted within each
+    dimension as ``SimplicialComplex.from_faces`` sorts them.  i == j
+    gives no faces, and a cover gives only the empty face.
 
     When ``p`` is intersection-closed, every interval is a lattice with
-    bitwise AND as meet, and the result is the crosscut complex on the
-    atoms or on the coatoms, whichever are fewer: the sets of atoms with
-    a common upper bound below e_j, or of coatoms with a common lower
-    bound above e_i.  Rota's crosscut theorem makes it homotopy
-    equivalent to the order complex of (e_i, e_j) (Rota 1964; Bjorner,
-    "Topological methods", Handbook of Combinatorics, 1995, Thm 10.8).
-    On other posets, whose intervals need not be lattices, or when the
-    crosscut complex has more faces than the interior has chains, the
-    result is the order complex of the interior, on the vertices of
-    ``p``.  ``chains`` is that chain count, the empty chain included, as
-    ``SubsetPoset.intervals_above`` gives it.
+    bitwise AND as meet, and the faces are those of the crosscut complex
+    on the atoms or on the coatoms, whichever are fewer: the sets of
+    atoms with a common upper bound below e_j, or of coatoms with a
+    common lower bound above e_i.  Rota's crosscut theorem makes it
+    homotopy equivalent to the order complex of (e_i, e_j) (Rota 1964;
+    Bjorner, "Topological methods", Handbook of Combinatorics, 1995, Thm
+    10.8).  On other posets, whose intervals need not be lattices, or
+    when the crosscut complex has more than ``chains`` faces, the faces
+    are the chains of the interior, on the vertices of ``p``; there are
+    ``chains`` of them, the empty chain included, as
+    ``SubsetPoset.intervals_above`` counts them.
     """
     up, down = p._up_strict, p._down_strict
     if i == j:
-        return SimplicialComplex.null()
+        return ChainHomology({}, fieldspec)
     if not up[i] >> j & 1:
         raise ValidationError(f"interval endpoints must satisfy e_{i} < e_{j}")
     interior = up[i] & down[j]
     if not interior:
-        return SimplicialComplex.empty()
+        return ChainHomology({-1: [0]}, fieldspec)
+    faces: dict[int, list[int]] | None = None
     if p.is_intersection_closed():
         atoms = _bits(p._covers_up[i] & down[j])
-        coatoms = [x for x in _bits(interior) if not up[x] & interior]
+        coatoms = _bits(p._covers_down[j] & up[i])
         verts, bounds = (atoms, up) if len(atoms) <= len(coatoms) else (coatoms, down)
         faces = _crosscut_faces(verts, bounds, interior, chains)
-        if faces is not None:
-            return SimplicialComplex.from_faces(len(verts), faces)
-    return SimplicialComplex.from_faces(len(p), p.chain_masks(interior))
+    if faces is None:
+        faces = {}
+        for f in p.chain_masks(interior):
+            faces.setdefault(f.bit_count() - 1, []).append(f)
+    for faces_d in faces.values():
+        faces_d.sort()
+    return ChainHomology(faces, fieldspec)
 
 
 def _face_poset(k: SimplicialComplex) -> SubsetPoset:
@@ -401,6 +412,17 @@ def is_cohen_macaulay(k: SimplicialComplex, fieldspec: FieldSpec = GF2) -> bool:
     return is_interval_cm(_face_poset(k).bounded(), fieldspec)
 
 
+def interval_is_cm(p: SubsetPoset, row: tuple, fieldspec: FieldSpec) -> bool:
+    """``is_interval_cm``'s test of one ``SubsetPoset.intervals`` row."""
+    i, j, rank, graded, _, chains = row
+    if rank <= 1:
+        return True
+    if not graded:
+        return False
+    chain = interval_homology(p, i, j, chains, fieldspec)
+    return not any(chain.betti(d) for d in range(-1, rank - 2))
+
+
 def is_interval_cm(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> bool:
     """True iff every open interval of ``p`` has a Cohen-Macaulay order complex.
 
@@ -416,17 +438,7 @@ def is_interval_cm(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> bool:
     of its order complex (Baclawski 1980; a topological property by
     Munkres 1984), which is how ``is_cohen_macaulay`` and ``check --cm``
     use it.  The answer depends on the field: homology is taken
-    over ``fieldspec``.  Rank-0 and rank-1 intervals give the null and
-    empty complexes, which count as Cohen-Macaulay.  The homology comes
-    from ``interval_complex``.
+    over ``fieldspec``.  Rank-0 and rank-1 intervals count as
+    Cohen-Macaulay.  The scan stops at the first failing interval.
     """
-    for i, j, rank, graded, _, chains in p.intervals():
-        if rank <= 1:
-            continue
-        if not graded:
-            return False
-        k = interval_complex(p, i, j, chains)
-        chain = ChainHomology(k.faces_by_dim(), fieldspec)
-        if any(chain.betti(d) for d in range(-1, rank - 2)):
-            return False
-    return True
+    return all(interval_is_cm(p, row, fieldspec) for row in p.intervals())

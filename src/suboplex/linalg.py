@@ -54,10 +54,6 @@ class FieldSpec:
         if self.p is not None and not _is_prime(self.p):
             raise ValidationError(f"field characteristic must be prime, got {self.p}")
 
-    @property
-    def is_rationals(self) -> bool:
-        return self.p is None
-
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
         t = text.strip()

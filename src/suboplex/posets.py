@@ -20,18 +20,11 @@ from .errors import ValidationError
 
 
 def intersection_closure(masks: Iterable[int]) -> set[int]:
-    """Close a family of bit masks under pairwise intersection."""
-    closed = set(masks)
-    frontier = set(closed)
-    while frontier:
-        fresh: set[int] = set()
-        for a in frontier:
-            for b in closed:
-                c = a & b
-                if c not in closed and c not in fresh:
-                    fresh.add(c)
-        closed |= fresh
-        frontier = fresh
+    """Close masks under AND one generator at a time: (g & a) & (g & b) = g & (a & b)."""
+    closed: set[int] = set()
+    for g in masks:
+        closed |= {g & c for c in closed}
+        closed.add(g)
     return closed
 
 

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from suboplex import FunctionClass, SimplicialComplex, SubsetPoset, intersection_closure
+from suboplex import (
+    FunctionClass,
+    SimplicialComplex,
+    SubsetPoset,
+    ValidationError,
+    intersection_closure,
+)
+from suboplex.complexes import _bits
 
 
 def pytest_addoption(parser):
@@ -70,3 +77,59 @@ def random_class(
     n = rng.randint(1, max_n)
     size = rng.randint(1, min(1 << n, max_size))
     return FunctionClass.from_masks(n, rng.sample(range(1 << n), size))
+
+
+def reference_crosscut_faces(verts, bounds, interior, limit):
+    """Flat list of the crosscut faces, as ``_crosscut_faces`` lists them by dimension."""
+    faces = [0]
+    stack = [(0, interior, 0)]
+    while stack:
+        face, common, start = stack.pop()
+        for k in range(start, len(verts)):
+            narrowed = common & (bounds[verts[k]] | 1 << verts[k])
+            if narrowed:
+                faces.append(face | 1 << k)
+                if len(faces) > limit:
+                    return None
+                stack.append((face | 1 << k, narrowed, k + 1))
+    return faces
+
+
+def reference_interval_complex(p: SubsetPoset, i: int, j: int, chains: int) -> SimplicialComplex:
+    """The complex whose faces ``interval_homology`` takes, built as a ``SimplicialComplex``.
+
+    Coatoms are found by scanning the interior for elements with nothing
+    above them in it, not from the cover masks.
+    """
+    up, down = p._up_strict, p._down_strict
+    if i == j:
+        return SimplicialComplex.null()
+    if not up[i] >> j & 1:
+        raise ValidationError(f"interval endpoints must satisfy e_{i} < e_{j}")
+    interior = up[i] & down[j]
+    if not interior:
+        return SimplicialComplex.empty()
+    if p.is_intersection_closed():
+        atoms = _bits(p._covers_up[i] & down[j])
+        coatoms = [x for x in _bits(interior) if not up[x] & interior]
+        verts, bounds = (atoms, up) if len(atoms) <= len(coatoms) else (coatoms, down)
+        faces = reference_crosscut_faces(verts, bounds, interior, chains)
+        if faces is not None:
+            return SimplicialComplex.from_faces(len(verts), faces)
+    return SimplicialComplex.from_faces(len(p), p.chain_masks(interior))
+
+
+def frontier_closure(masks) -> set[int]:
+    """Intersection closure by intersecting each new frontier with the closed set."""
+    closed = set(masks)
+    frontier = set(closed)
+    while frontier:
+        fresh: set[int] = set()
+        for a in frontier:
+            for b in closed:
+                c = a & b
+                if c not in closed and c not in fresh:
+                    fresh.add(c)
+        closed |= fresh
+        frontier = fresh
+    return closed

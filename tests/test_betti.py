@@ -9,11 +9,17 @@ from bundled import (
     u11_u23_direct_sum,
     u11_u23_flats,
 )
-from conftest import interval_chains, random_intersection_closed_poset, rp2_with_top
+from conftest import (
+    interval_chains,
+    random_intersection_closed_poset,
+    reference_interval_complex,
+    rp2_with_top,
+)
 from suboplex import (
     GF2,
     GF3,
     QQ,
+    SimplicialComplex,
     Subset,
     SubsetPoset,
     ValidationError,
@@ -25,7 +31,7 @@ from suboplex import (
     dual_ideal,
     homological_dimension,
     intersection_closure,
-    interval_complex,
+    interval_homology,
     is_interval_cm,
     monomial,
     reduced_homology,
@@ -33,6 +39,8 @@ from suboplex import (
     verify_acyclic,
 )
 from suboplex.betti import _hdim_of_poset
+from suboplex.builders import UniformMatroid, formula_class
+from suboplex.io import formula_from_json
 
 
 def S(s: str) -> Subset:
@@ -142,11 +150,32 @@ def comparable_pairs(p: SubsetPoset):
                 yield i, j
 
 
+def nonzero(chain) -> dict[int, int]:
+    """The nonzero reduced Betti numbers of an ``interval_homology`` result."""
+    return {d: b for d in chain.faces if (b := chain.betti(d))}
+
+
 def assert_matches_order_complex(p: SubsetPoset) -> None:
     for i, j in comparable_pairs(p):
-        k = interval_complex(p, i, j, interval_chains(p, i, j))
+        chains = interval_chains(p, i, j)
         for field in (GF2, GF3, QQ):
-            assert reduced_homology(k, field).nonzero == reference_profile(p, i, j, field)
+            chain = interval_homology(p, i, j, chains, field)
+            assert nonzero(chain) == reference_profile(p, i, j, field)
+
+
+def assert_faces_match_reference(p: SubsetPoset, rows=None) -> None:
+    """Same faces, in the same order, as the ``SimplicialComplex`` reference."""
+    for i, j, _, _, _, chains in p.intervals() if rows is None else rows:
+        expected = reference_interval_complex(p, i, j, chains).faces_by_dim()
+        assert interval_homology(p, i, j, chains, GF2).faces == expected
+
+
+def kcnf_3_2() -> SubsetPoset:
+    return formula_class(formula_from_json({"type": "kcnf", "d": 3, "k": 2}))[1]
+
+
+def parity_4() -> SubsetPoset:
+    return formula_class(formula_from_json({"type": "parity_conj", "d": 4}))[1]
 
 
 def stacked_antichains() -> SubsetPoset:
@@ -187,52 +216,66 @@ class TestIntervalComplex:
         assert len(p) == 19 and p.is_intersection_closed()
         top = len(p) - 1
         assert interval_chains(p, 0, top) == 162
-        k = interval_complex(p, 0, top, 162)
-        assert len(k.face_set()) == 162 and k.dim == 2
+        faces = interval_homology(p, 0, top, 162, GF2).faces
+        assert sum(map(len, faces.values())) == 162 and max(faces) == 2
         # the interior is elements 1..17 of p and 0..16 of the open sub-poset
         oracle = truncated_order_complex(p.interval(p.bottom(), p.top()))
-        assert {f >> 1 for f in k.face_set()} == oracle.face_set()
+        assert {f >> 1 for fs in faces.values() for f in fs} == oracle.face_set()
         assert_matches_order_complex(p)
         # elsewhere the crosscut on the fewer of atoms and coatoms is used:
         # x is the only atom of [a_0, 1] and the only coatom of [0, y_0]
         a0, y0 = p.index(S("1" + "0" * 15)), p.index(S("1" * 8 + "10000000"))
         for i, j in ((a0, top), (0, y0)):
-            k = interval_complex(p, i, j, interval_chains(p, i, j))
-            assert k.num_vertices == 1 and len(k.face_set()) == 2
+            chain = interval_homology(p, i, j, interval_chains(p, i, j), GF2)
+            assert chain.faces == {-1: [0], 0: [1]}
         for field in (GF2, GF3, QQ):
             assert _hdim_of_poset(p, field) == betti_via_intervals(p, field).projective_dimension
 
     def test_parity_top_interval_falls_back(self):
         # parity_4 flats: the top interval has 15 atoms and 15 coatoms, whose
         # crosscut complexes have 1536 faces against 696 chains in the interior
-        from suboplex.builders import formula_class
-        from suboplex.io import formula_from_json
-
-        _, p = formula_class(formula_from_json({"type": "parity_conj", "d": 4}))
+        p = parity_4()
         top = len(p) - 1
         assert next(row for row in p.intervals_above(0) if row[0] == top)[3:] == (64, 696)
         assert interval_chains(p, 0, top) == 696
-        k = interval_complex(p, 0, top, 696)
-        assert k.num_vertices == len(p) and len(k.face_set()) == 696
+        faces = interval_homology(p, 0, top, 696, GF2).faces
+        assert sum(map(len, faces.values())) == 696
+        assert faces[0] == [1 << x for x in range(1, top)]  # the interior of p as vertices
         for field in (GF2, GF3):
-            assert reduced_homology(k, field).nonzero == reference_profile(p, 0, top, field)
+            chain = interval_homology(p, 0, top, 696, field)
+            assert nonzero(chain) == reference_profile(p, 0, top, field)
 
     def test_degenerate_intervals(self):
         p = stacked_antichains()
         covers = set(p.cover_relations())
         for i, j in comparable_pairs(p):
-            k = interval_complex(p, i, j, interval_chains(p, i, j))
-            if i == j:
-                assert k.is_null and reduced_homology(k).nonzero == {}
-            elif (p.elements[i], p.elements[j]) in covers:
-                assert k.is_empty_complex and reduced_homology(k).nonzero == {-1: 1}
-            else:
-                assert k.dim >= 0
+            for field in (GF2, GF3, QQ):
+                chain = interval_homology(p, i, j, interval_chains(p, i, j), field)
+                if i == j:
+                    assert chain.faces == {} and nonzero(chain) == {}
+                elif (p.elements[i], p.elements[j]) in covers:
+                    assert chain.faces == {-1: [0]} and nonzero(chain) == {-1: 1}
+                else:
+                    assert max(chain.faces) >= 0
 
     def test_rejects_incomparable_endpoints(self):
         p = SubsetPoset.from_strings(["00", "10", "01"])
         with pytest.raises(ValidationError):
-            interval_complex(p, 1, 2, 1)
+            interval_homology(p, 1, 2, 1, GF2)
+
+    def test_faces_match_reference_complex(self, rng):
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            masks = intersection_closure(rng.getrandbits(n) for _ in range(rng.randint(1, 10)))
+            assert_faces_match_reference(SubsetPoset.from_masks(n, masks))
+        assert_faces_match_reference(stacked_antichains())
+        p = parity_4()
+        top_row = next(row for row in p.intervals_above(0) if row[0] == len(p) - 1)
+        assert_faces_match_reference(p, [(0, *top_row)])
+
+    def test_faces_match_reference_complex_at_scale(self):
+        for p in (kcnf_3_2(), UniformMatroid(5, 8).flats()):
+            assert_faces_match_reference(p)
 
     def test_characteristic_dependence_through_crosscut(self):
         p = rp2_with_top()
@@ -268,6 +311,20 @@ class TestBettiViaMobius:
             mf.mobius(mf.bottom(), mf.top())
         )
 
+    def test_one_pass_over_the_intervals(self, monkeypatch):
+        passes = []
+        intervals_above = SubsetPoset.intervals_above
+
+        def counting(self, i):
+            passes.append(i)
+            return intervals_above(self, i)
+
+        monkeypatch.setattr(SubsetPoset, "intervals_above", counting)
+        for p in (u11_u23_flats(), UniformMatroid(4, 7).flats()):
+            passes.clear()
+            betti_via_mobius(p, GF3)
+            assert sorted(passes) == list(range(len(p)))
+
     def test_checks_interval_cm_over_its_field(self):
         p = rp2_with_top()
         with pytest.raises(ValidationError, match="interval Cohen-Macaulay"):
@@ -287,6 +344,44 @@ class TestBettiViaMobius:
                 with pytest.raises(ValidationError):
                     betti_via_mobius(p)
         assert seen == {True, False}
+
+
+class TestSweepsBuildNoComplex:
+    # totals, projective dimension, interval-CM and Moebius totals (None when
+    # betti_via_mobius raises), the same over GF(2) and GF(3)
+    CASES = {
+        "flagship": ([10, 17, 10, 2], 3, True, [10, 17, 10, 2]),
+        "U(4,7)": ([65, 189, 210, 105, 20], 4, True, [65, 189, 210, 105, 20]),
+        "kcnf(3,2)": ([166, 544, 706, 454, 152, 28, 3], 6, False, None),
+    }
+
+    def test_no_simplicial_complex_is_built(self, monkeypatch):
+        posets = {
+            "flagship": u11_u23_flats(),
+            "U(4,7)": UniformMatroid(4, 7).flats(),
+            "kcnf(3,2)": kcnf_3_2(),
+        }
+        tables = {
+            (name, f): betti_via_intervals(p, f) for name, p in posets.items() for f in (GF2, GF3)
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep built a SimplicialComplex")
+
+        monkeypatch.setattr(SimplicialComplex, "from_faces", classmethod(refuse))
+        monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
+        for name, p in posets.items():
+            totals, hdim, cm, mobius_totals = self.CASES[name]
+            for field in (GF2, GF3):
+                table = betti_via_intervals(p, field)
+                assert table == tables[name, field] and table.totals() == totals
+                assert _hdim_of_poset(p, field) == hdim
+                assert is_interval_cm(p, field) == cm
+                if mobius_totals is None:
+                    with pytest.raises(ValidationError, match="interval Cohen-Macaulay"):
+                        betti_via_mobius(p, field)
+                else:
+                    assert betti_via_mobius(p, field).totals() == mobius_totals
 
 
 class TestRender:

@@ -8,6 +8,7 @@ from conftest import (
     random_complex,
     random_intersection_closed_poset,
     random_poset,
+    reference_crosscut_faces,
 )
 from suboplex import (
     GF2,
@@ -29,7 +30,7 @@ from suboplex import (
     reduced_homology,
     truncated_order_complex,
 )
-from suboplex.complexes import ChainHomology
+from suboplex.complexes import ChainHomology, _bits, _crosscut_faces
 
 HOLLOW_TRIANGLE = SimplicialComplex.from_facets(3, [0b011, 0b101, 0b110])
 
@@ -461,3 +462,31 @@ class TestLazyChainHomology:
             chain = ChainHomology(k.faces_by_dim(), GF3)
             for d in range(k.dim, -2, -1):
                 assert chain.betti(d) == prof[d]
+
+
+class TestCrosscutFaces:
+    def test_matches_flat_enumeration_and_limit(self, rng):
+        # faces by dimension in enumeration order, None just past the limit;
+        # coatoms from the cover masks are the interior's maximal elements
+        sizes = set()
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            masks = intersection_closure(rng.getrandbits(n) for _ in range(rng.randint(1, 10)))
+            p = SubsetPoset.from_masks(n, masks)
+            up, down = p._up_strict, p._down_strict
+            for i, j, *_ in p.intervals():
+                interior = up[i] & down[j]
+                if not interior:
+                    continue
+                atoms = _bits(p._covers_up[i] & down[j])
+                coatoms = _bits(p._covers_down[j] & up[i])
+                assert coatoms == [x for x in _bits(interior) if not up[x] & interior]
+                for verts, bounds in ((atoms, up), (coatoms, down)):
+                    flat = reference_crosscut_faces(verts, bounds, interior, 1 << 20)
+                    by_dim: dict[int, list[int]] = {}
+                    for f in flat:
+                        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+                    assert _crosscut_faces(verts, bounds, interior, len(flat)) == by_dim
+                    assert _crosscut_faces(verts, bounds, interior, len(flat) - 1) is None
+                    sizes.add(max(by_dim))
+        assert {0, 1, 2} <= sizes

@@ -1,11 +1,17 @@
 import pytest
 
 from bundled import bowtie_poset, u11_u23_flats
-from conftest import interval_chains, random_intersection_closed_poset, random_poset
+from conftest import (
+    frontier_closure,
+    interval_chains,
+    random_intersection_closed_poset,
+    random_poset,
+)
 from suboplex import (
     Subset,
     SubsetPoset,
     ValidationError,
+    intersection_closure,
     reduced_euler_characteristic,
     truncated_order_complex,
 )
@@ -119,6 +125,20 @@ class TestIntersectionClosed:
         q = u11_u23_flats()
         assert q.is_intersection_closed() and q.is_intersection_closed()
         assert scans == [p, q]
+
+    def test_closure_matches_frontier_reference(self, rng):
+        assert intersection_closure([]) == frontier_closure([]) == set()
+        sizes = set()
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            family = [rng.getrandbits(n) for _ in range(rng.randint(1, 12))]
+            if rng.random() < 0.3:
+                family.append(0)
+            closed = intersection_closure(iter(family))
+            assert closed == frontier_closure(family)
+            assert all(a & b in closed for a in closed for b in closed)
+            sizes.add(len(closed) - len(set(family)))
+        assert 0 in sizes and max(sizes) >= 5
 
     def test_closure_membership_criterion(self, rng):
         # V(A) nonempty iff closure(A) in P, for intersection-closed P

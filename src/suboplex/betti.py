@@ -20,8 +20,8 @@ builds a ``SimplicialComplex``.  Every sweep reads the rank, Moebius
 value and chain count of each interval from one pass per bottom
 element, ``SubsetPoset.intervals_above``, and walks intervals no other
 way; ``betti_via_mobius`` tests interval Cohen-Macaulayness and reads
-Moebius values in the same pass.  The labeled order complex stays for
-``cellular_resolution`` and ``verify_acyclic``.
+Moebius values in the same pass.  ``verify_acyclic`` reads each label
+degree's subcomplex of ``cellular_resolution`` from the same masks.
 """
 
 from __future__ import annotations
@@ -32,16 +32,18 @@ from .bitsets import SquarefreeMonomial, monomial
 from .classes import FunctionClass, dual_ideal
 from .complexes import (
     SimplicialComplex,
+    _bits,
+    _chain_homology,
     interval_homology,
     interval_is_cm,
     order_complex,
-    reduced_homology,
 )
 from .errors import CapExceededError, ValidationError
 from .linalg import GF2, FieldSpec
 from .posets import SubsetPoset
 
 EXHAUSTIVE_ACYCLICITY_MAX_GROUND = 6
+ACYCLICITY_MAX_FACES = 10**6
 
 
 @dataclass
@@ -144,44 +146,42 @@ def cellular_resolution(p: SubsetPoset) -> LabeledComplex:
     return LabeledComplex(poset=p, complex=k, labels=labels)
 
 
-def verify_acyclic(
-    labeled: LabeledComplex, fieldspec: FieldSpec = GF2, exhaustive: bool = False
-) -> bool:
-    """Check that every label-restricted subcomplex has zero reduced homology.
+def verify_acyclic(p: SubsetPoset, fieldspec: FieldSpec = GF2, exhaustive: bool = False) -> bool:
+    """Check that ``cellular_resolution(p)`` is acyclic in every label degree under test.
 
-    For each degree b under test, the subcomplex of nonempty faces whose
-    label divides b must be null or have vanishing reduced homology in
-    all degrees.  By default b ranges over realized face labels; with
-    ``exhaustive`` it ranges over all squarefree degrees (small ground
-    sets only).
+    A chain's label m(A, B) divides m(L, U) iff L <= A and B <= U, so the
+    subcomplex of degree m(L, U) is the order complex of the members
+    between L and U, read from the comparability masks; its reduced
+    homology must vanish.  The degrees are the realized labels m(e_i, e_j),
+    whose subcomplexes are the closed intervals [e_i, e_j], or with
+    ``exhaustive`` all 4^n squarefree degrees (small ground sets only).
+    Past ``ACYCLICITY_MAX_FACES`` chains in those intervals, 2 per member
+    and 4 per chain of each open interval, it raises before listing any.
     """
-    n = labeled.poset.n
-    nonempty = [(f, lab) for f, lab in labeled.labels.items() if f != 0]
-    if exhaustive:
-        if n > EXHAUSTIVE_ACYCLICITY_MAX_GROUND:
-            raise CapExceededError(
-                "exhaustive acyclicity check is capped at ground size "
-                f"{EXHAUSTIVE_ACYCLICITY_MAX_GROUND}, got {n}"
-            )
-        from .bitsets import Subset
-
-        degrees = [
-            SquarefreeMonomial(Subset(n, s0), Subset(n, s1))
-            for s0 in range(1 << n)
-            for s1 in range(1 << n)
-        ]
-    else:
-        degrees = sorted(
-            {lab for _, lab in nonempty},
-            key=lambda m: (m.degree, m.support0.bits, m.support1.bits),
+    if not p.is_intersection_closed():
+        raise ValidationError("cellular resolution requires an intersection-closed poset")
+    if exhaustive and p.n > EXHAUSTIVE_ACYCLICITY_MAX_GROUND:
+        raise CapExceededError(
+            "exhaustive acyclicity check is capped at ground size "
+            f"{EXHAUSTIVE_ACYCLICITY_MAX_GROUND}, got {p.n}"
         )
-    nv = labeled.complex.num_vertices
-    for b in degrees:
-        faces = [f for f, lab in nonempty if lab.divides(b)]
-        if not faces:
-            continue
-        sub = SimplicialComplex.from_faces(nv, faces)
-        if not reduced_homology(sub, fieldspec).is_zero:
+    faces = 2 * len(p) + 4 * sum(row[5] for row in p.intervals())
+    if faces > ACYCLICITY_MAX_FACES:
+        raise CapExceededError(
+            f"acyclicity check is capped at {ACYCLICITY_MAX_FACES} faces, got {faces}"
+        )
+    if exhaustive:
+        spans = {
+            sum(1 << x for x, m in enumerate(p._masks) if lo & m == lo and m & hi == m)
+            for lo in range(1 << p.n)
+            for hi in range(1 << p.n)
+        } - {0}
+    else:
+        ups = [u | 1 << i for i, u in enumerate(p._up_strict)]
+        spans = (up & (p._down_strict[j] | 1 << j) for up in ups for j in _bits(up))
+    for span in spans:
+        chain = _chain_homology(p.chain_masks(span), fieldspec)
+        if any(chain.betti(d) for d in chain.faces):
             return False
     return True
 

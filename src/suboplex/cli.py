@@ -26,7 +26,6 @@ from .betti import (
     BettiTable,
     betti_via_intervals,
     betti_via_mobius,
-    cellular_resolution,
     homological_dimension,
     verify_acyclic,
 )
@@ -252,10 +251,7 @@ def _cmd_check(args) -> int:
         if args.intersection_closed:
             results.append(("intersection-closed", poset.is_intersection_closed()))
         if args.acyclic:
-            labeled = cellular_resolution(poset)
-            results.append(
-                ("acyclic", verify_acyclic(labeled, field, exhaustive=args.exhaustive))
-            )
+            results.append(("acyclic", verify_acyclic(poset, field, args.exhaustive)))
         if args.interval_cm or args.cm:
             # The order complex of a poset is CM iff its bounded copy is
             # interval-CM; a bounded poset is its own bounded copy.

@@ -15,11 +15,14 @@ which matters over fields other than GF(2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .bitsets import MAX_GROUND
 from .errors import CapExceededError, ValidationError
 from .linalg import GF2, FieldSpec, rank_from_columns
 from .posets import Interval, SubsetPoset
+
+CM_MAX_FACES = 1024
 
 
 def _submasks(mask: int):
@@ -301,17 +304,15 @@ def truncated_order_complex(interval: Interval) -> SimplicialComplex:
 
 def _crosscut_faces(
     verts: list[int], bounds: list[int], interior: int, limit: int
-) -> dict[int, list[int]] | None:
-    """Sets of ``verts`` with a common bound inside ``interior``, by dimension.
+) -> list[int] | None:
+    """Sets of ``verts`` with a common bound inside ``interior``, the empty one included.
 
-    None once there are more than ``limit`` faces, the empty one
-    included.  ``bounds[v]`` is the strict upper (or lower) set of v.  A
-    face's running AND of ``bounds[v] | 1 << v`` over its vertices is
-    the set of its common bounds in the interior, so a face extends only
-    while that AND is nonzero.  Face bit k stands for ``verts[k]``.
+    None once there are more than ``limit``.  ``bounds[v]`` is the strict
+    upper (or lower) set of v.  A face's running AND of ``bounds[v] | 1 << v``
+    over its vertices is the set of its common bounds in the interior, so a
+    face extends only while that AND is nonzero.  Bit k stands for ``verts[k]``.
     """
-    faces = {-1: [0]}
-    count = 1
+    faces = [0]
     stack = [(0, interior, 0)]
     while stack:
         face, common, start = stack.pop()
@@ -319,10 +320,9 @@ def _crosscut_faces(
             v = verts[k]
             narrowed = common & (bounds[v] | 1 << v)
             if narrowed:
-                count += 1
-                if count > limit:
+                faces.append(face | 1 << k)
+                if len(faces) > limit:
                     return None
-                faces.setdefault(face.bit_count(), []).append(face | 1 << k)
                 stack.append((face | 1 << k, narrowed, k + 1))
     return faces
 
@@ -358,27 +358,34 @@ def interval_homology(
     interior = up[i] & down[j]
     if not interior:
         return ChainHomology({-1: [0]}, fieldspec)
-    faces: dict[int, list[int]] | None = None
     if p.is_intersection_closed():
         atoms = _bits(p._covers_up[i] & down[j])
         coatoms = _bits(p._covers_down[j] & up[i])
         verts, bounds = (atoms, up) if len(atoms) <= len(coatoms) else (coatoms, down)
         faces = _crosscut_faces(verts, bounds, interior, chains)
-    if faces is None:
-        faces = {}
-        for f in p.chain_masks(interior):
-            faces.setdefault(f.bit_count() - 1, []).append(f)
-    for faces_d in faces.values():
-        faces_d.sort()
-    return ChainHomology(faces, fieldspec)
+        if faces is not None:
+            return _chain_homology(faces, fieldspec)
+    return _chain_homology(p.chain_masks(interior), fieldspec)
+
+
+def _chain_homology(faces: Iterable[int], fieldspec: FieldSpec) -> ChainHomology:
+    """Homology of a face family, sorted within each dimension as ``from_faces`` sorts it."""
+    by_dim: dict[int, list[int]] = {}
+    for f in sorted(faces):
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    return ChainHomology(by_dim, fieldspec)
 
 
 def _face_poset(k: SimplicialComplex) -> SubsetPoset:
     """The faces of ``k``, the empty face included, ordered by inclusion.
 
     Vertices in no face are dropped, so the ground set is the used
-    vertices, renumbered in ascending order.
+    vertices, renumbered in ascending order.  Before any facet is
+    expanded, the face count, at most sum(2^|F|) over the facets F, is capped.
     """
+    size = len(k._face_set or ()) or sum(1 << f.bit_count() for f in k._facets)
+    if size > CM_MAX_FACES:
+        raise CapExceededError(f"Cohen-Macaulay check is capped at {CM_MAX_FACES} faces, got {size}")
     faces = k.face_set()
     union = 0
     for f in faces:

@@ -39,11 +39,13 @@ from .errors import ValidationError
 from .posets import SubsetPoset
 
 
-def _require(data: Any, key: str, what: str) -> Any:
+def _require(data: Any, key: str, what: str, kind: type = object) -> Any:
     if not isinstance(data, dict):
         raise ValidationError(f"{what} document must be a JSON object")
     if key not in data:
         raise ValidationError(f"{what} document is missing the {key!r} field")
+    if not isinstance(data[key], kind):
+        raise ValidationError(f"{what} field {key!r} must be {kind.__name__}, got {data[key]!r}")
     return data[key]
 
 
@@ -64,7 +66,7 @@ def _bit_strings(strings: Any, n: int, what: str) -> list[Subset]:
 
 
 def poset_from_json(data: Any) -> SubsetPoset:
-    n = _require(data, "n", "poset")
+    n = _require(data, "n", "poset", int)
     elements = _bit_strings(_require(data, "elements", "poset"), n, "poset elements")
     return SubsetPoset(n, elements)
 
@@ -74,7 +76,7 @@ def poset_to_json(p: SubsetPoset) -> dict:
 
 
 def class_from_json(data: Any) -> FunctionClass:
-    n = _require(data, "n", "class")
+    n = _require(data, "n", "class", int)
     members = _bit_strings(_require(data, "functions", "class"), n, "class functions")
     return FunctionClass(n, members)
 
@@ -84,12 +86,10 @@ def class_to_json(c: FunctionClass) -> dict:
 
 
 def complex_from_json(data: Any) -> SimplicialComplex:
-    nv = _require(data, "vertices", "complex")
-    facets = _require(data, "facets", "complex")
-    if not isinstance(nv, int) or nv < 0:
+    nv = _require(data, "vertices", "complex", int)
+    facets = _require(data, "facets", "complex", list)
+    if nv < 0:
         raise ValidationError(f"complex vertex count must be a nonnegative integer, got {nv!r}")
-    if not isinstance(facets, list):
-        raise ValidationError("complex facets must be a list of vertex lists")
     masks = []
     for face in facets:
         if not isinstance(face, list):
@@ -113,24 +113,21 @@ def complex_to_json(k: SimplicialComplex) -> dict:
 def matroid_from_json(data: Any) -> Matroid:
     kind = _require(data, "type", "matroid")
     if kind == "uniform":
-        k = _require(data, "k", "uniform matroid")
-        m = _require(data, "m", "uniform matroid")
-        return UniformMatroid(k, m)
+        k = _require(data, "k", "uniform matroid", int)
+        return UniformMatroid(k, _require(data, "m", "uniform matroid", int))
     if kind == "linear":
-        p = _require(data, "p", "linear matroid")
-        rows = _require(data, "matrix", "linear matroid")
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise ValidationError("linear matroid matrix must be a list of rows")
+        p = _require(data, "p", "linear matroid", int)
+        rows = _require(data, "matrix", "linear matroid", list)
+        if not all(isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rows):
+            raise ValidationError("linear matroid matrix must be a list of integer rows")
         return LinearMatroid.from_rows(p, rows)
     if kind == "graphic":
-        nv = _require(data, "vertices", "graphic matroid")
-        edges = _require(data, "edges", "graphic matroid")
-        if not isinstance(edges, list):
-            raise ValidationError("graphic matroid edges must be a list of pairs")
+        nv = _require(data, "vertices", "graphic matroid", int)
+        edges = _require(data, "edges", "graphic matroid", list)
         pairs = []
         for e in edges:
-            if not (isinstance(e, list) and len(e) == 2):
-                raise ValidationError(f"graphic matroid edge {e!r} must be a pair")
+            if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)):
+                raise ValidationError(f"graphic matroid edge {e!r} must be a pair of vertices")
             pairs.append((e[0], e[1]))
         return GraphicMatroid(nv, pairs)
     if kind == "direct_sum":
@@ -142,23 +139,21 @@ def matroid_from_json(data: Any) -> Matroid:
 
 
 def cells_from_json(data: Any) -> CellComplexInput:
-    nv = _require(data, "vertices", "cell complex")
-    faces = _require(data, "faces", "cell complex")
-    if not isinstance(faces, list):
-        raise ValidationError("cell complex faces must be a list of vertex lists")
+    nv = _require(data, "vertices", "cell complex", int)
+    faces = _require(data, "faces", "cell complex", list)
     return CellComplexInput.from_vertex_lists(nv, faces)
 
 
 def formula_from_json(data: Any) -> FormulaClassSpec:
     kind = _require(data, "type", "formula spec")
-    d = _require(data, "d", "formula spec")
+    d = _require(data, "d", "formula spec", int)
     if kind == "kcnf":
         variant = "monotone_kcnf" if data.get("monotone") else "kcnf"
-        return FormulaClassSpec(variant, d, k=_require(data, "k", "kcnf spec"))
+        return FormulaClassSpec(variant, d, k=_require(data, "k", "kcnf spec", int))
     if kind == "monotone_kcnf":
-        return FormulaClassSpec("monotone_kcnf", d, k=_require(data, "k", "kcnf spec"))
+        return FormulaClassSpec("monotone_kcnf", d, k=_require(data, "k", "kcnf spec", int))
     if kind == "csp":
-        if not isinstance(d, int) or d < 1:
+        if d < 1:
             raise ValidationError(f"csp spec needs a positive integer d, got {d!r}")
         raw = _require(data, "generators", "csp spec")
         gens = tuple(s.bits for s in _bit_strings(raw, 1 << d, "csp generators"))
@@ -166,5 +161,5 @@ def formula_from_json(data: Any) -> FormulaClassSpec:
     if kind == "parity_conj":
         return FormulaClassSpec("parity_conj", d)
     if kind == "poly_conj":
-        return FormulaClassSpec("poly_conj", d, k=_require(data, "k", "poly_conj spec"))
+        return FormulaClassSpec("poly_conj", d, k=_require(data, "k", "poly_conj spec", int))
     raise ValidationError(f"unknown formula type {kind!r}")

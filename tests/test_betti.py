@@ -11,14 +11,19 @@ from bundled import (
 )
 from conftest import (
     interval_chains,
+    label_acyclic,
+    label_degrees,
     random_intersection_closed_poset,
     reference_interval_complex,
+    refuse_everywhere,
     rp2_with_top,
 )
+import suboplex.betti as betti_module
 from suboplex import (
     GF2,
     GF3,
     QQ,
+    CapExceededError,
     SimplicialComplex,
     Subset,
     SubsetPoset,
@@ -40,6 +45,7 @@ from suboplex import (
 )
 from suboplex.betti import _hdim_of_poset
 from suboplex.builders import UniformMatroid, formula_class
+from suboplex.complexes import ChainHomology
 from suboplex.io import formula_from_json
 
 
@@ -92,20 +98,99 @@ class TestCellularResolution:
 
 class TestVerifyAcyclic:
     def test_flat_lattice(self):
-        assert verify_acyclic(cellular_resolution(u11_u23_flats()))
+        assert verify_acyclic(u11_u23_flats())
 
     def test_exhaustive_small(self, rng):
         for _ in range(15):
             p = random_intersection_closed_poset(rng, max_n=4)
-            labeled = cellular_resolution(p)
-            assert verify_acyclic(labeled, exhaustive=True)
+            assert verify_acyclic(p, exhaustive=True)
 
     def test_all_fields(self, rng):
         for _ in range(10):
             p = random_intersection_closed_poset(rng, max_n=4)
+            for field in (GF2, GF3, QQ):
+                assert verify_acyclic(p, field)
+
+    def test_matches_the_labeled_complex_reference(self, rng):
+        for t in range(200):
+            p = random_intersection_closed_poset(rng, max_n=4)
             labeled = cellular_resolution(p)
             for field in (GF2, GF3, QQ):
-                assert verify_acyclic(labeled, field)
+                assert verify_acyclic(p, field) == label_acyclic(labeled, field)
+            if t % 4 == 0:
+                expected = label_acyclic(labeled, GF2, exhaustive=True)
+                assert verify_acyclic(p, exhaustive=True) == expected
+
+    def test_spans_are_the_label_filtered_faces(self, rng, monkeypatch):
+        """Each degree's chains, listed by ``verify_acyclic``, are the faces whose label divides it."""
+        spans: list[int] = []
+        chain_masks = SubsetPoset.chain_masks
+
+        def record(self, within=None):
+            spans.append(within)
+            return chain_masks(self, within)
+
+        monkeypatch.setattr(SubsetPoset, "chain_masks", record)
+        for _ in range(60):
+            p = random_intersection_closed_poset(rng, max_n=4)
+            labels = cellular_resolution(p).labels
+            nonempty = [(f, lab) for f, lab in labels.items() if f != 0]
+            for exhaustive, degrees in ((False, {lab for _, lab in nonempty}),
+                                        (True, label_degrees(p.n))):
+                expected = {frozenset(f for f, lab in nonempty if lab.divides(b)) for b in degrees}
+                spans.clear()
+                assert verify_acyclic(p, exhaustive=exhaustive)
+                assert len(spans) == len(set(spans))
+                listed = {frozenset(chain_masks(p, span)) - {0} for span in spans}
+                assert listed == expected - {frozenset()}
+
+    def test_rejects_non_intersection_closed(self):
+        p = SubsetPoset.from_strings(["10", "01"])
+        with pytest.raises(ValidationError, match="requires an intersection-closed poset"):
+            verify_acyclic(p)
+
+    def test_exhaustive_ground_cap(self):
+        p = SubsetPoset.from_strings(["0000000", "1000000"])
+        assert verify_acyclic(p)
+        with pytest.raises(CapExceededError, match="capped at ground size 6, got 7"):
+            verify_acyclic(p, exhaustive=True)
+
+    def test_reports_a_class(self, monkeypatch):
+        betti = ChainHomology.betti
+        monkeypatch.setattr(
+            ChainHomology, "betti", lambda self, d: 1 if d == 0 else betti(self, d)
+        )
+        assert not verify_acyclic(u11_u23_flats())
+        assert not verify_acyclic(u11_u23_flats(), exhaustive=True)
+
+    def test_face_cap(self, monkeypatch):
+        """kcnf(3,2) has 777,472 faces to list; one over the cap, none is listed."""
+
+        class Listed(Exception):
+            pass
+
+        def refuse(self, within=None):
+            raise Listed
+
+        p = kcnf_3_2()
+        monkeypatch.setattr(SubsetPoset, "chain_masks", refuse)
+        monkeypatch.setattr(betti_module, "ACYCLICITY_MAX_FACES", 777_472)
+        with pytest.raises(Listed):
+            verify_acyclic(p)
+        monkeypatch.setattr(betti_module, "ACYCLICITY_MAX_FACES", 777_471)
+        with pytest.raises(CapExceededError, match="capped at 777471 faces, got 777472"):
+            verify_acyclic(p)
+
+    def test_no_labeled_complex_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a labeled order complex was built")
+
+        monkeypatch.setattr(SimplicialComplex, "from_faces", classmethod(refuse))
+        refuse_everywhere(monkeypatch, reduced_homology, refuse)
+        refuse_everywhere(monkeypatch, cellular_resolution, refuse)
+        for p in (u11_u23_flats(), UniformMatroid(4, 7).flats()):
+            for field in (GF2, GF3, QQ):
+                assert verify_acyclic(p, field)
 
 
 class TestBettiViaIntervals:

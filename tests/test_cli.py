@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,10 @@ import pytest
 
 import suboplex
 from bundled import U11_U23_BETTI_TEXT
-from conftest import RP2_FACETS, random_intersection_closed_poset, rp2_with_top
+from conftest import RP2_FACETS, random_intersection_closed_poset, refuse_everywhere, rp2_with_top
 from suboplex import SubsetPoset
 from suboplex.cli import main
+from suboplex.complexes import ChainHomology
 from suboplex.io import poset_to_json
 
 FLAG_POSET = {
@@ -25,6 +27,9 @@ U11_U23_BUILD = (
     'matroid:{"type":"direct_sum","parts":'
     '[{"type":"uniform","k":1,"m":1},{"type":"uniform","k":2,"m":3}]}'
 )
+
+U47_BUILD = 'matroid:{"type":"uniform","k":4,"m":7}'
+KCNF32_BUILD = 'formula:{"type":"kcnf","d":3,"k":2}'
 
 
 @pytest.fixture
@@ -209,6 +214,72 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--cm", "--input", str(path))
         assert code == 0 and out == "CM: yes"
 
+    def test_complex_cm_face_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(suboplex.complexes, "CM_MAX_FACES", 80)  # RP^2's 10 triangles
+        assert run(capsys, "check", "--cm", "--build", RP2_BUILD) == (0, "CM: no", "")
+        monkeypatch.setattr(suboplex.complexes, "CM_MAX_FACES", 79)
+        code, _, err = run(capsys, "check", "--cm", "--build", RP2_BUILD)
+        assert code == 2 and err == "error: Cohen-Macaulay check is capped at 79 faces, got 80"
+        monkeypatch.undo()
+
+        def refuse(self):
+            raise AssertionError("the facets were expanded")
+
+        monkeypatch.setattr(suboplex.SimplicialComplex, "face_set", refuse)
+        simplex = 'complex:{"vertices":26,"facets":[[%s]]}' % ",".join(map(str, range(26)))
+        code, _, err = run(capsys, "check", "--cm", "--build", simplex)
+        assert code == 2 and err == "error: Cohen-Macaulay check is capped at 1024 faces, got 67108864"
+
+    def test_acyclic_builds_no_labeled_complex(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a labeled order complex was built")
+
+        monkeypatch.setattr(suboplex.SimplicialComplex, "from_faces", classmethod(refuse))
+        refuse_everywhere(monkeypatch, suboplex.reduced_homology, refuse)
+        refuse_everywhere(monkeypatch, suboplex.cellular_resolution, refuse)
+        for spec in (U11_U23_BUILD, U47_BUILD, KCNF32_BUILD):
+            assert run(capsys, "check", "--acyclic", "--build", spec) == (0, "acyclic: yes", "")
+
+    def test_acyclic_reports_no(self, capsys, monkeypatch, flag_poset_file):
+        betti = ChainHomology.betti
+        monkeypatch.setattr(
+            ChainHomology, "betti", lambda self, d: 1 if d == 0 else betti(self, d)
+        )
+        assert run(capsys, "check", "--acyclic", "--input", flag_poset_file) == (
+            0, "acyclic: no", ""
+        )
+
+    def test_acyclic_needs_intersection_closed(self, capsys):
+        code, _, err = run(
+            capsys, "check", "--acyclic", "--build", 'poset:{"n":2,"elements":["10","01"]}'
+        )
+        assert code == 1
+        assert err == "error: cellular resolution requires an intersection-closed poset"
+
+    def test_acyclic_face_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(suboplex.betti, "ACYCLICITY_MAX_FACES", 777_471)
+        code, _, err = run(capsys, "check", "--acyclic", "--build", KCNF32_BUILD)
+        assert code == 2
+        assert err == "error: acyclicity check is capped at 777471 faces, got 777472"
+
+    def test_acyclic_kcnf_4_2_is_capped_within_a_gib(self):
+        """kcnf(4,2) has 2.09e10 faces to list; it must exit 2 before it runs out of memory."""
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(suboplex.__file__).resolve().parent.parent)
+        spec = 'formula:{"type":"kcnf","d":4,"k":2}'
+        out = subprocess.run(
+            [sys.executable, "-m", "suboplex.cli", "check", "--acyclic", "--build", spec],
+            env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit_memory,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.splitlines() == [
+            "error: acyclicity check is capped at 1000000 faces, got 20913485688"
+        ]
+
 
 class TestOtherVerbs:
     def test_mobius_bounded(self, capsys, flag_poset_file):
@@ -328,6 +399,26 @@ class TestErrors:
             capsys, "vcdim", "--input", flag_poset_file, "--build", "cube:{}"
         )
         assert code == 1 and "exactly one" in err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            'matroid:{"type":"uniform","k":"a","m":3}',
+            'matroid:{"type":"graphic","vertices":"2","edges":[[0,1]]}',
+            'matroid:{"type":"graphic","vertices":2,"edges":[[0,"a"]]}',
+            'matroid:{"type":"linear","p":2,"matrix":[[1,"x"]]}',
+            'cells:{"vertices":"3","faces":[[0,1]]}',
+            'poset:{"n":"4","elements":["0000"]}',
+            'class:{"n":"4","functions":["0000"]}',
+            'complex:{"vertices":"3","facets":[[0,1]]}',
+            'cube:{"d":"2"}',
+            'formula:{"type":"kcnf","d":"3","k":2}',
+        ],
+    )
+    def test_wrong_typed_field_is_one_error_line(self, capsys, spec):
+        code, out, err = run(capsys, "build", "--build", spec)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_import_does_not_load_numpy():

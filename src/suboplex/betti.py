@@ -22,6 +22,12 @@ element, ``SubsetPoset.intervals_above``, and walks intervals no other
 way; ``betti_via_mobius`` tests interval Cohen-Macaulayness and reads
 Moebius values in the same pass.  ``verify_acyclic`` reads each label
 degree's subcomplex of ``cellular_resolution`` from the same masks.
+
+A poset's symmetry maps each interval [A, B] onto an isomorphic
+[gA, gB], with the same homology and Moebius value in degree m(gA, gB).
+So the sweeps take ``SubsetPoset.interval_orbits``: homology once per
+orbit of intervals, copied along the orbit, and ``_hdim_of_poset``
+starts passes only from element-orbit representatives.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from .bitsets import SquarefreeMonomial, monomial
 from .classes import FunctionClass, dual_ideal
 from .complexes import (
     SimplicialComplex,
-    _bits,
     _chain_homology,
     interval_homology,
     interval_is_cm,
@@ -153,10 +158,11 @@ def verify_acyclic(p: SubsetPoset, fieldspec: FieldSpec = GF2, exhaustive: bool 
     subcomplex of degree m(L, U) is the order complex of the members
     between L and U, read from the comparability masks; its reduced
     homology must vanish.  The degrees are the realized labels m(e_i, e_j),
-    whose subcomplexes are the closed intervals [e_i, e_j], or with
-    ``exhaustive`` all 4^n squarefree degrees (small ground sets only).
-    Past ``ACYCLICITY_MAX_FACES`` chains in those intervals, 2 per member
-    and 4 per chain of each open interval, it raises before listing any.
+    whose subcomplexes are the closed intervals [e_i, e_j], one per orbit
+    under the poset's symmetry, or with ``exhaustive`` all 4^n squarefree
+    degrees (small ground sets only).  Past ``ACYCLICITY_MAX_FACES`` chains
+    in all closed intervals, 2 per member and 4 per chain of each open
+    interval, it raises before listing any.
     """
     if not p.is_intersection_closed():
         raise ValidationError("cellular resolution requires an intersection-closed poset")
@@ -165,7 +171,11 @@ def verify_acyclic(p: SubsetPoset, fieldspec: FieldSpec = GF2, exhaustive: bool 
             "exhaustive acyclicity check is capped at ground size "
             f"{EXHAUSTIVE_ACYCLICITY_MAX_GROUND}, got {p.n}"
         )
-    faces = 2 * len(p) + 4 * sum(row[5] for row in p.intervals())
+    up, down = p._up_strict, p._down_strict
+    faces, spans = 2 * len(p), [1 << i for i in p.orbit_representatives()]
+    for (i, j, *_, chains), pairs in p.interval_orbits():
+        faces += 4 * chains * len(pairs)
+        spans.append(up[i] & down[j] | 1 << i | 1 << j)
     if faces > ACYCLICITY_MAX_FACES:
         raise CapExceededError(
             f"acyclicity check is capped at {ACYCLICITY_MAX_FACES} faces, got {faces}"
@@ -176,9 +186,6 @@ def verify_acyclic(p: SubsetPoset, fieldspec: FieldSpec = GF2, exhaustive: bool 
             for lo in range(1 << p.n)
             for hi in range(1 << p.n)
         } - {0}
-    else:
-        ups = [u | 1 << i for i, u in enumerate(p._up_strict)]
-        spans = (up & (p._down_strict[j] | 1 << j) for up in ups for j in _bits(up))
     for span in spans:
         chain = _chain_homology(p.chain_masks(span), fieldspec)
         if any(chain.betti(d) for d in chain.faces):
@@ -198,15 +205,16 @@ def betti_via_intervals(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTabl
     if not p.is_intersection_closed():
         raise ValidationError("interval Betti numbers require an intersection-closed poset")
     entries: dict[tuple[int, SquarefreeMonomial], int] = {}
-    for a in p.elements:
+    els = p.elements
+    for a in els:
         entries[(0, monomial(a, a))] = 1
-    for i, j, rank, _, _, chains in p.intervals():
+    for (i, j, rank, _, _, chains), pairs in p.interval_orbits():
         chain = interval_homology(p, i, j, chains, fieldspec)
-        deg = monomial(p.elements[i], p.elements[j])
         for d in range(-1, rank - 1):
             v = chain.betti(d)
             if v:
-                entries[(d + 2, deg)] = v
+                for a, b in pairs:
+                    entries[(d + 2, monomial(els[a], els[b]))] = v
     return BettiTable(n=p.n, entries=entries)
 
 
@@ -224,12 +232,13 @@ def betti_via_mobius(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTable:
     entries: dict[tuple[int, SquarefreeMonomial], int] = {}
     for a in p.elements:
         entries[(0, monomial(a, a))] = 1
-    for row in p.intervals():
+    for row, pairs in p.interval_orbits():
         if not interval_is_cm(p, row, fieldspec):
             raise ValidationError("Moebius Betti numbers require an interval Cohen-Macaulay poset")
-        i, j, rank, _, mu, _ = row
+        _, _, rank, _, mu, _ = row
         if mu:
-            entries[(rank, monomial(p.elements[i], p.elements[j]))] = abs(mu)
+            for a, b in pairs:
+                entries[(rank, monomial(p.elements[a], p.elements[b]))] = abs(mu)
     return BettiTable(n=p.n, entries=entries)
 
 
@@ -240,16 +249,18 @@ def _hdim_of_poset(p: SubsetPoset, fieldspec: FieldSpec) -> int:
     bottom's intervals are visited by decreasing rank, with the running
     best used to stop.  ``p`` is intersection-closed, so e_0 is its
     bottom, and a chain from e_0 up to e_i bounds the rank of every
-    interval [e_i, e_j] by height - depth_0(i).  Bottom 0 goes first,
-    then the others by decreasing bound, up to the first whose bound
-    cannot beat the best; the passes of the rest are never run.
-    Homology degrees are probed top-down and lazily.
+    interval [e_i, e_j] by height - depth_0(i).  Only element-orbit
+    representatives are bottoms: the poset's symmetry maps the intervals
+    above e_i onto isomorphic ones above its representative.  Bottom 0
+    goes first, then the others by decreasing bound, up to the first
+    whose bound cannot beat the best; the passes of the rest are never
+    run.  Homology degrees are probed top-down and lazily.
     """
     rows0 = list(p.intervals_above(0))
     depth0 = {0: 0, **{j: rank for j, rank, *_ in rows0}}
     height = max(depth0.values())
     best = 0
-    for i in sorted(range(len(p)), key=depth0.__getitem__):
+    for i in sorted(p.orbit_representatives(), key=depth0.__getitem__):
         if height - depth0[i] <= best:
             break
         rows = rows0 if i == 0 else p.intervals_above(i)

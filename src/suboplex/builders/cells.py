@@ -78,16 +78,32 @@ def cube_faces(d: int) -> list[int]:
     return faces
 
 
+def cube_symmetry(d: int, reflect: bool = True) -> list[list[int]]:
+    """Generators of the d-cube's symmetries, as permutations of its 2^d vertices.
+
+    A swap of bits 0 and 1 and a cycle of all d bits generate the
+    permutations of the coordinates; with ``reflect``, v -> v ^ 1 adds
+    the reflections, for the hyperoctahedral group.
+    """
+    n = 1 << d
+    gens = [[v ^ 1 for v in range(n)]] if reflect else []
+    if d >= 2:
+        gens.append([v & ~3 | (v & 1) << 1 | v >> 1 & 1 for v in range(n)])
+    if d >= 3:
+        gens.append([(v << 1 | v >> (d - 1)) & (n - 1) for v in range(n)])
+    return gens
+
+
 def cube_complex(d: int) -> SubsetPoset:
     """Face poset of [0,1]^d on vertex set [2^d], empty face included.
 
     The associated function class is the class of conjunctions of
     literals in d variables: faces are exactly the conjunction
     supports, the full cube the empty conjunction, and the empty set
-    the contradictory one.
+    the contradictory one.  The poset carries the cube's symmetries.
     """
     if not isinstance(d, int) or d < 1:
         raise ValidationError(f"cube dimension must be a positive integer, got {d!r}")
     if d > CUBE_MAX_DIM:
         raise CapExceededError(f"cube builder is capped at dimension {CUBE_MAX_DIM}, got {d}")
-    return SubsetPoset.from_masks(1 << d, intersection_closure(cube_faces(d)))
+    return SubsetPoset.from_masks(1 << d, intersection_closure(cube_faces(d)), cube_symmetry(d))

@@ -9,16 +9,22 @@ conjunction).  CSP classes do the same starting from an arbitrary
 generator family.  Conjunctions of parity functions, and of degree-
 bounded polynomials, are the flat lattices of the corresponding linear
 matroids over GF(2).
+
+Each poset carries the symmetries its family is known to have: the
+d-cube's hyperoctahedral group for kcnf, and the permutations of the
+variables for monotone kcnf and parity conjunctions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from ..classes import FunctionClass, class_from_poset
 from ..errors import CapExceededError, ValidationError
 from ..posets import SubsetPoset, intersection_closure
+from .cells import cube_symmetry
 from .matroids import LinearMatroid
 
 KCNF_MAX_VARIABLES = 4
@@ -81,11 +87,13 @@ def _clause_supports(d: int, k: int, monotone: bool) -> set[int]:
     return supports
 
 
-def _closure_poset(d: int, supports: set[int]) -> SubsetPoset:
+def _closure_poset(
+    d: int, supports: set[int], symmetry: Sequence[Sequence[int]] = ()
+) -> SubsetPoset:
     n = 1 << d
     family = set(supports)
     family.add((1 << n) - 1)  # the empty conjunction
-    return SubsetPoset.from_masks(n, intersection_closure(family))
+    return SubsetPoset.from_masks(n, intersection_closure(family), symmetry)
 
 
 def formula_class(spec: FormulaClassSpec) -> tuple[FunctionClass, SubsetPoset]:
@@ -96,16 +104,18 @@ def formula_class(spec: FormulaClassSpec) -> tuple[FunctionClass, SubsetPoset]:
             f"formula builder is capped at d <= {KCNF_MAX_VARIABLES} (ground 2^d), got d={d}"
         )
     if spec.variant == "kcnf":
-        poset = _closure_poset(d, _clause_supports(d, spec.k, monotone=False))
+        poset = _closure_poset(d, _clause_supports(d, spec.k, monotone=False), cube_symmetry(d))
     elif spec.variant == "monotone_kcnf":
-        poset = _closure_poset(d, _clause_supports(d, spec.k, monotone=True))
+        poset = _closure_poset(
+            d, _clause_supports(d, spec.k, monotone=True), cube_symmetry(d, reflect=False)
+        )
     elif spec.variant == "csp":
         poset = _closure_poset(d, set(spec.generators))
     elif spec.variant == "parity_conj":
         if d > 4:
             raise CapExceededError(f"parity builder is capped at d <= 4, got {d}")
         columns = [tuple(v >> j & 1 for j in range(d)) for v in range(1 << d)]
-        poset = LinearMatroid(2, columns).flats()
+        poset = LinearMatroid(2, columns, cube_symmetry(d, reflect=False)).flats()
     else:  # poly_conj
         if d > 4:
             raise CapExceededError(f"polynomial builder is capped at d <= 4, got {d}")

@@ -9,6 +9,8 @@ to the base matroid and shifts its rank function.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..bitsets import Subset
 from ..errors import CapExceededError, ValidationError
 from ..linalg import FieldSpec, rank_from_columns
@@ -18,7 +20,13 @@ FLATS_MAX_GROUND = 16
 
 
 class Matroid:
-    """A matroid on ground set [m], defined by its rank function."""
+    """A matroid on ground set [m], defined by its rank function.
+
+    ``symmetry`` lists permutations of [m] known to preserve the rank
+    function; ``flats`` hands them to its poset.  None by default.
+    """
+
+    symmetry: Sequence[Sequence[int]] = ()
 
     def __init__(self, m: int) -> None:
         if not isinstance(m, int) or m < 1:
@@ -87,7 +95,7 @@ class Matroid:
                         fresh.add(g)
             collected |= fresh
             frontier = fresh
-        return SubsetPoset.from_masks(self.m, collected)
+        return SubsetPoset.from_masks(self.m, collected, self.symmetry)
 
     def minor(self, f: Subset, g: Subset) -> "MinorMatroid":
         return MinorMatroid(self, f, g)
@@ -101,6 +109,7 @@ class UniformMatroid(Matroid):
         if not 0 <= k <= m:
             raise ValidationError(f"uniform matroid needs 0 <= k <= m, got k={k}, m={m}")
         self.k = k
+        self.symmetry = [[1, 0, *range(2, m)], [*range(1, m), 0]] if m > 1 else []
 
     def _rank_mask(self, mask: int) -> int:
         return min(mask.bit_count(), self.k)
@@ -109,8 +118,11 @@ class UniformMatroid(Matroid):
 class LinearMatroid(Matroid):
     """Columns of a matrix over GF(p); rank is column-space rank."""
 
-    def __init__(self, p: int, columns: list[tuple[int, ...]]) -> None:
+    def __init__(
+        self, p: int, columns: list[tuple[int, ...]], symmetry: Sequence[Sequence[int]] = ()
+    ) -> None:
         super().__init__(len(columns))
+        self.symmetry = symmetry
         heights = {len(c) for c in columns}
         if len(heights) != 1:
             raise ValidationError("matrix columns must all have the same height")

@@ -446,6 +446,7 @@ def is_interval_cm(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> bool:
     Munkres 1984), which is how ``is_cohen_macaulay`` and ``check --cm``
     use it.  The answer depends on the field: homology is taken
     over ``fieldspec``.  Rank-0 and rank-1 intervals count as
-    Cohen-Macaulay.  The scan stops at the first failing interval.
+    Cohen-Macaulay.  The scan takes one interval per orbit under the
+    poset's symmetry and stops at the first that fails.
     """
-    return all(interval_is_cm(p, row, fieldspec) for row in p.intervals())
+    return all(interval_is_cm(p, row, fieldspec) for row, _ in p.interval_orbits())

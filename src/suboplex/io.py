@@ -148,7 +148,8 @@ def formula_from_json(data: Any) -> FormulaClassSpec:
     kind = _require(data, "type", "formula spec")
     d = _require(data, "d", "formula spec", int)
     if kind == "kcnf":
-        variant = "monotone_kcnf" if data.get("monotone") else "kcnf"
+        monotone = "monotone" in data and _require(data, "monotone", "kcnf spec", bool)
+        variant = "monotone_kcnf" if monotone else "kcnf"
         return FormulaClassSpec(variant, d, k=_require(data, "k", "kcnf spec", int))
     if kind == "monotone_kcnf":
         return FormulaClassSpec("monotone_kcnf", d, k=_require(data, "k", "kcnf spec", int))

@@ -8,6 +8,15 @@ minimum.  Cover relations are found eagerly by transitive reduction of
 the comparability masks.  Every interval invariant (rank, gradedness,
 Moebius value, chain count of the open part) comes from one pass per
 bottom element along the linear extension, ``intervals_above``.
+
+A poset may carry a ``symmetry``: permutations of [n], declared by the
+builder that made it, each mapping the member set onto itself and so
+every interval [A, B] onto an isomorphic interval [gA, gB] (Stanley,
+"Some aspects of groups acting on finite posets", JCTA 1982).  Every
+interval invariant is constant on the orbits of intervals, so the
+sweeps read ``interval_orbits``: one pass from one bottom per element
+orbit, each interval standing for its orbit.  Equality, hashing and
+restrictions ignore the symmetry; ``intervals`` still lists every pair.
 """
 
 from __future__ import annotations
@@ -41,9 +50,13 @@ class SubsetPoset:
         "_covers_up",
         "_covers_down",
         "_intersection_closed",
+        "symmetry",
+        "_automorphisms",
     )
 
-    def __init__(self, n: int, elements: Iterable[Subset]) -> None:
+    def __init__(
+        self, n: int, elements: Iterable[Subset], symmetry: Iterable[Sequence[int]] = ()
+    ) -> None:
         check_ground(n)
         elems = list(elements)
         for e in elems:
@@ -86,10 +99,34 @@ class SubsetPoset:
         self._covers_up = covers
         self._covers_down = covers_down
         self._intersection_closed: bool | None = None
+        self.symmetry = tuple(tuple(g) for g in symmetry)
+        self._automorphisms = tuple(self._index_map(k, g) for k, g in enumerate(self.symmetry))
+
+    def _index_map(self, k: int, g: tuple[int, ...]) -> tuple[int, ...]:
+        """Generator ``k``, a permutation ``g`` of [n], as a map on element indices."""
+        if not all(isinstance(x, int) for x in g) or sorted(g) != list(range(self.n)):
+            raise ValidationError(
+                f"symmetry generator {k} is not a permutation of range({self.n})"
+            )
+        images = []
+        for m in self._masks:
+            image, rest = 0, m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                image |= 1 << g[low.bit_length() - 1]
+            if image not in self._index:
+                raise ValidationError(
+                    f"symmetry generator {k} maps {Subset(self.n, m)} to a non-member"
+                )
+            images.append(self._index[image])
+        return tuple(images)
 
     @classmethod
-    def from_masks(cls, n: int, masks: Iterable[int]) -> "SubsetPoset":
-        return cls(n, [Subset(n, m) for m in masks])
+    def from_masks(
+        cls, n: int, masks: Iterable[int], symmetry: Iterable[Sequence[int]] = ()
+    ) -> "SubsetPoset":
+        return cls(n, [Subset(n, m) for m in masks], symmetry)
 
     @classmethod
     def from_strings(cls, strings: Sequence[str]) -> "SubsetPoset":
@@ -213,6 +250,47 @@ class SubsetPoset:
             for row in self.intervals_above(i):
                 yield (i, *row)
 
+    def _orbit(self, seen: set[int], i: int, j: int) -> list[tuple[int, int]]:
+        """The orbit of the pair (i, j) under the generators, (i, j) first.
+
+        Pairs are keyed ``i * len(self) + j`` in ``seen``, which the
+        search fills; each pair of the orbit is visited once.
+        """
+        size = len(self._masks)
+        seen.add(i * size + j)
+        pairs = [(i, j)]
+        for a, b in pairs:  # the list grows while it is read
+            for g in self._automorphisms:
+                if g[a] * size + g[b] not in seen:
+                    seen.add(g[a] * size + g[b])
+                    pairs.append((g[a], g[b]))
+        return pairs
+
+    def orbit_representatives(self) -> list[int]:
+        """The least element index of each orbit of the symmetry group, ascending."""
+        reps, seen = [], set()
+        for i in range(len(self._masks)):
+            if i * len(self._masks) + i not in seen:
+                self._orbit(seen, i, i)
+                reps.append(i)
+        return reps
+
+    def interval_orbits(
+        self,
+    ) -> Iterator[tuple[tuple[int, int, int, bool, int, int], list[tuple[int, int]]]]:
+        """``(row, pairs)`` for each orbit of pairs e_i < e_j under the symmetry group.
+
+        ``row`` is the ``intervals`` row of the orbit's least pair, and
+        ``pairs`` lists every (i, j) of the orbit, that one first; all of
+        them share its rank, gradedness, mu and chain count.  Only the
+        bottoms from ``orbit_representatives`` run ``intervals_above``.
+        """
+        seen: set[int] = set()
+        for i in self.orbit_representatives():
+            for row in self.intervals_above(i):
+                if i * len(self._masks) + row[0] not in seen:
+                    yield (i, *row), self._orbit(seen, i, row[0])
+
     def cover_relations(self) -> list[tuple[Subset, Subset]]:
         out = []
         for i, cov in enumerate(self._covers_up):
@@ -271,8 +349,10 @@ class SubsetPoset:
         strictly above, so the result has a bottom and a top on the same
         ground set.  Its order complex is that of ``self`` joined with at
         most two cone points, so one is Cohen-Macaulay iff the other is.
-        An intersection-closed poset stays intersection-closed.  Returns
-        ``self`` when both are already members, and for the empty poset.
+        An intersection-closed poset stays intersection-closed, and the
+        symmetry is kept: it fixes the AND and the OR of all members.
+        Returns ``self`` when both are already members, and for the
+        empty poset.
         """
         if not self._masks:
             return self
@@ -283,7 +363,7 @@ class SubsetPoset:
         extra = {lo, hi}.difference(self._index)
         if not extra:
             return self
-        return SubsetPoset.from_masks(self.n, [*self._masks, *extra])
+        return SubsetPoset.from_masks(self.n, [*self._masks, *extra], self.symmetry)
 
     def restrict(self, indices: Iterable[int]) -> "SubsetPoset":
         return SubsetPoset(self.n, [self.elements[i] for i in indices])

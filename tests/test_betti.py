@@ -405,10 +405,15 @@ class TestBettiViaMobius:
             return intervals_above(self, i)
 
         monkeypatch.setattr(SubsetPoset, "intervals_above", counting)
-        for p in (u11_u23_flats(), UniformMatroid(4, 7).flats()):
+        u47 = UniformMatroid(4, 7).flats()
+        for p in (u11_u23_flats(), SubsetPoset(u47.n, u47.elements)):
             passes.clear()
             betti_via_mobius(p, GF3)
             assert sorted(passes) == list(range(len(p)))
+        # with its symmetry, one pass per element orbit: rank 0 to 4
+        passes.clear()
+        betti_via_mobius(u47, GF3)
+        assert passes == u47.orbit_representatives() == [0, 1, 8, 29, 64]
 
     def test_checks_interval_cm_over_its_field(self):
         p = rp2_with_top()

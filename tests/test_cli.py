@@ -420,6 +420,22 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag", ['"false"', "0", "1", "null", "[]"])
+    def test_monotone_flag_must_be_a_boolean(self, capsys, flag):
+        spec = 'formula:{"type":"kcnf","d":2,"k":1,"monotone":%s}' % flag
+        code, out, err = run(capsys, "build", "--build", spec)
+        assert (code, out) == (1, "")
+        assert err == f"error: kcnf spec field 'monotone' must be bool, got {json.loads(flag)!r}"
+
+    def test_monotone_flag_picks_the_class(self, capsys):
+        sizes = {}
+        for flag in ("", ',"monotone":false', ',"monotone":true'):
+            spec = 'formula:{"type":"kcnf","d":2,"k":1%s}' % flag
+            code, out, _ = run(capsys, "build", "--build", spec)
+            assert code == 0
+            sizes[flag] = len(json.loads(out)["elements"])
+        assert list(sizes.values()) == [10, 10, 4]
+
 
 def test_import_does_not_load_numpy():
     src = str(Path(suboplex.__file__).resolve().parent.parent)
@@ -429,3 +445,51 @@ def test_import_does_not_load_numpy():
         capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
+
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name", ["kcnf", "uniform"])
+def test_benchmark_tables_are_unchanged(capsys, name):
+    """The kcnf and uniform workloads' calls, in-process, print the benchmark's expected stdout."""
+    expected = workloads.load_expected(name)
+    workload = workloads.make_workload(name, workloads.DEFAULT_SEED)
+    verbs = {call.args[0] for call in workload.calls}
+    assert expected and verbs >= {"betti", "hdim", "check"}
+    outputs = {}
+    for call in workload.calls:
+        assert main(call.args) == 0, call.label
+        outputs[call.label] = capsys.readouterr().out
+        if call.label in expected:
+            assert outputs[call.label] == expected[call.label], call.label
+        else:
+            assert call.validate(outputs[call.label]), call.label
+    for betti, mobius in workload.hall:
+        assert workloads.hall_identity_holds(outputs[betti], outputs[mobius])
+
+
+SYMMETRIC_INPUTS = [
+    'cube:{"d":3}',
+    KCNF32_BUILD,
+    'formula:{"type":"monotone_kcnf","d":3,"k":2}',
+    'formula:{"type":"parity_conj","d":3}',
+    U47_BUILD,
+]
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_INPUTS)
+def test_stdout_is_the_same_without_the_group(capsys, monkeypatch, spec):
+    verbs = [["build"], ["betti", "--format", "json"], ["betti", "--field", "3"], ["hdim"],
+             ["check", "--interval-cm", "--cm"], ["mobius", "--all"]]
+    if spec != KCNF32_BUILD:
+        verbs += [["check", "--acyclic"], ["betti", "--method", "mobius", "--field", "Q"]]
+    outputs = []
+    for _ in range(2):
+        outputs.append([(main([*verb, "--build", spec]), capsys.readouterr()) for verb in verbs])
+        init = SubsetPoset.__init__
+        monkeypatch.setattr(
+            SubsetPoset, "__init__", lambda self, n, elements, symmetry=(): init(self, n, elements)
+        )
+    assert outputs[0] == outputs[1]

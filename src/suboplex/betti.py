@@ -115,11 +115,6 @@ class BettiTable:
             {"i": i, "degree": degree_text(m), "value": v} for (i, m), v in items
         ]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BettiTable):
-            return NotImplemented
-        return self.n == other.n and self.entries == other.entries
-
 
 @dataclass(frozen=True)
 class LabeledComplex:

@@ -2,10 +2,11 @@
 
 A class is stored as the set of 1-preimages of its members.  This
 module computes shattering and VC dimension (by one scan of the
-members per candidate set), extentures (minimal
-non-extendable partial functions), the generators of the associated
-squarefree ideal and of its dual, and the collapse-map membership test
-that reads VC dimension off the ideal.
+members per candidate set), extentures (minimal non-extendable partial
+functions, as the minimal transversals of the literals each member
+violates), the generators of the associated squarefree ideal and of
+its dual, and the collapse-map membership test that reads VC dimension
+off the ideal.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from .bitsets import PartialFunction, SquarefreeMonomial, Subset, check_ground
 from .errors import CapExceededError, ValidationError
 from .posets import SubsetPoset
 
-EXTENTURE_MAX_GROUND = 16
+EXTENTURE_MAX_WORK = 500_000_000
+EXTENTURE_MAX_FAMILY = 1_000_000
 
 
 class FunctionClass:
@@ -184,61 +186,59 @@ def shatter_complex(c: FunctionClass):
 def extentures(c: FunctionClass) -> tuple[PartialFunction, ...]:
     """All minimal partial functions extending to no member of the class.
 
-    A partial function qualifies when it is the restriction of no
-    member while every proper restriction of it is.  Results are cached
-    on the class; domains are scanned by increasing size with
-    extendability memoized per (ones, zeros) pair.
+    As a set of literals (bit i for f(i) = 1, bit n + i for f(i) = 0), a
+    partial function extends to no member iff it meets every edge E_A,
+    the literals that member A violates.  So the extentures are the
+    minimal transversals of {E_A} other than the pairs {i, n + i}, found
+    by Berge's incremental dualization with one step per member in
+    ascending mask order.  That order is part of the algorithm, not a
+    knob: it keeps the family near the size of the output.  Results are
+    cached on the class and sorted by (domain size, ones, zeros).
+    ``CapExceededError`` is raised before the work (members split, subset
+    tests, candidates) passes ``EXTENTURE_MAX_WORK`` or the family
+    passes ``EXTENTURE_MAX_FAMILY`` sets.
     """
     if c._extentures is not None:
         return c._extentures
     n = c.n
-    if n > EXTENTURE_MAX_GROUND:
-        raise CapExceededError(
-            f"extenture search is capped at ground size {EXTENTURE_MAX_GROUND}, got {n}"
-        )
-    members = c._masks
-    memo: dict[tuple[int, int], bool] = {}
-
-    def extendable(ones: int, dom: int) -> bool:
-        key = (ones, dom)
-        hit = memo.get(key)
-        if hit is None:
-            hit = any(m & dom == ones for m in members)
-            memo[key] = hit
-        return hit
-
-    found: list[PartialFunction] = []
-    domains = sorted(range(1 << n), key=lambda d: (d.bit_count(), d))
-    for dom in domains:
-        ones = dom
-        while True:
-            if not extendable(ones, dom):
-                minimal = True
-                rest = dom
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    if not extendable(ones & ~bit, dom ^ bit):
-                        minimal = False
-                        break
-                if minimal:
-                    found.append(
-                        PartialFunction(Subset(n, ones), Subset(n, dom ^ ones))
-                    )
-            if ones == 0:
-                break
-            ones = (ones - 1) & dom
-    found.sort(key=lambda f: (f.domain.size, f.ones.bits, f.zeros.bits))
-    c._extentures = tuple(found)
+    full = (1 << n) - 1
+    family, work = [0], 0
+    for a in c._masks:
+        edge = full & ~a | a << n
+        hit = [t for t in family if t & edge]
+        miss = [t for t in family if not t & edge]
+        work += len(family)
+        grown: list[int] = []
+        for v in (1 << i for i in range(2 * n) if edge >> i & 1):
+            # Candidates t | v never cover each other and no kept k lies above
+            # one (k would contain t); k lies under t | v iff v in k, k ^ v <= t.
+            under = [k ^ v for k in hit if k & v]
+            work += len(hit) + len(miss) * (len(under) + 1)
+            if work > EXTENTURE_MAX_WORK:
+                raise CapExceededError(f"extenture search is capped at {EXTENTURE_MAX_WORK} steps")
+            if len(hit) + len(grown) + len(miss) > EXTENTURE_MAX_FAMILY:
+                raise CapExceededError(f"extenture search is capped at {EXTENTURE_MAX_FAMILY} sets")
+            grown += [t | v for t in miss if all(u & ~t for u in under)]
+        family = hit + grown
+    found = sorted((t.bit_count(), t & full, t >> n) for t in family if not t & t >> n)
+    c._extentures = tuple(
+        PartialFunction(Subset(n, ones), Subset(n, zeros)) for _, ones, zeros in found
+    )
     return c._extentures
+
+
+def _generator_order(m: SquarefreeMonomial) -> tuple[int, int, int]:
+    return (m.degree, m.support0.bits, m.support1.bits)
 
 
 @dataclass(frozen=True)
 class IdealGenerators:
     """A minimal generating antichain of a squarefree monomial ideal.
 
-    Construction prunes generators divisible by another, so the stored
-    tuple is always an antichain under divisibility.
+    ``minimal`` prunes generators divisible by another and sorts the
+    rest by (degree, support0, support1); ``suboplex_ideal`` and
+    ``dual_ideal`` build the same tuple directly, since they know
+    which of their generators can divide another.
     """
 
     n: int
@@ -260,7 +260,7 @@ class IdealGenerators:
             for g in pool
             if not any(h is not g and h.divides(g) for h in pool)
         ]
-        keep.sort(key=lambda m: (m.degree, m.support0.bits, m.support1.bits))
+        keep.sort(key=_generator_order)
         return cls(n, tuple(keep))
 
     def __len__(self) -> int:
@@ -275,26 +275,33 @@ def suboplex_ideal(c: FunctionClass) -> IdealGenerators:
 
     These are the functional monomials x(i,0)x(i,1) together with one
     monomial per extenture f, namely the product of x(i, f(i)) over the
-    domain of f.  When some coordinate is constant across the class the
-    corresponding functional monomial is non-minimal and is pruned.
+    domain of f.  Extentures form an antichain and never contain a
+    functional monomial; the only division is by a one-point extenture,
+    found where coordinate i is constant across the class, and then the
+    functional monomial at i is left out.
     """
     n = c.n
-    gens: list[SquarefreeMonomial] = []
+    found = extentures(c)
+    points = {f.domain.bits for f in found if f.domain.size == 1}
+    gens = [SquarefreeMonomial(support0=f.zeros, support1=f.ones) for f in found]
     for i in range(n):
-        point = Subset.from_indices(n, [i])
-        gens.append(SquarefreeMonomial(support0=point, support1=point))
-    for f in extentures(c):
-        gens.append(SquarefreeMonomial(support0=f.zeros, support1=f.ones))
-    return IdealGenerators.minimal(n, gens)
+        if 1 << i not in points:
+            point = Subset(n, 1 << i)
+            gens.append(SquarefreeMonomial(support0=point, support1=point))
+    gens.sort(key=_generator_order)
+    return IdealGenerators(n, tuple(gens))
 
 
 def dual_ideal(c: FunctionClass) -> IdealGenerators:
-    """One degree-n generator per member: m(A, A) for the 1-preimage A."""
-    n = c.n
-    gens = [
-        SquarefreeMonomial(support0=a, support1=a.complement()) for a in c.members
-    ]
-    return IdealGenerators.minimal(n, gens)
+    """One degree-n generator per member: m(A, A) for the 1-preimage A.
+
+    These are distinct monomials of one degree, so none divides another,
+    and ascending member order is ``IdealGenerators.minimal``'s order.
+    """
+    return IdealGenerators(
+        c.n,
+        tuple(SquarefreeMonomial(support0=a, support1=a.complement()) for a in c.members),
+    )
 
 
 def collapse_membership(c: FunctionClass, u: Subset) -> bool:

@@ -30,6 +30,7 @@ from .betti import (
     verify_acyclic,
 )
 from .bitsets import Subset
+from .builders.formulas import VARIANTS
 from .classes import (
     FunctionClass,
     class_from_poset,
@@ -127,13 +128,7 @@ def _infer_kind(data: Any) -> str:
     if "faces" in data:
         return "cells"
     if "type" in data:
-        return "formula" if data["type"] in (
-            "kcnf",
-            "monotone_kcnf",
-            "csp",
-            "parity_conj",
-            "poly_conj",
-        ) else "matroid"
+        return "formula" if data["type"] in VARIANTS else "matroid"
     if "d" in data:
         return "cube"
     raise ValidationError("cannot infer input kind from the document's fields")

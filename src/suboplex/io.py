@@ -34,7 +34,7 @@ from .builders import (
     UniformMatroid,
 )
 from .classes import FunctionClass
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _bits
 from .errors import ValidationError
 from .posets import SubsetPoset
 
@@ -106,7 +106,7 @@ def complex_from_json(data: Any) -> SimplicialComplex:
 def complex_to_json(k: SimplicialComplex) -> dict:
     return {
         "vertices": k.num_vertices,
-        "facets": [[v for v in range(k.num_vertices) if f >> v & 1] for f in k.facets],
+        "facets": [_bits(f) for f in k.facets],
     }
 
 

@@ -1,11 +1,14 @@
 import pytest
 
+import suboplex.classes
 from bundled import delta_class, u11_u23_class
 from conftest import random_class, random_intersection_closed_poset
 from suboplex import (
     CapExceededError,
     FunctionClass,
+    IdealGenerators,
     PartialFunction,
+    SquarefreeMonomial,
     Subset,
     SubsetPoset,
     ValidationError,
@@ -20,6 +23,7 @@ from suboplex import (
     vc_dimension,
     warn_if_degenerate,
 )
+from suboplex.builders import FormulaClassSpec, formula_class
 from suboplex.oracles import betti_oracle, vc_oracle
 
 
@@ -74,6 +78,23 @@ def brute_extentures(c: FunctionClass) -> set[str]:
             if ok:
                 out.add(PartialFunction(Subset(n, ones), Subset(n, zeros)).pattern())
     return out
+
+
+def random_class_with_constants(rng) -> FunctionClass:
+    """A random class, half the time with one or two coordinates forced constant."""
+    c = random_class(rng, max_n=5)
+    if rng.random() < 0.5:
+        return c
+    masks = [m.bits for m in c.members]
+    for _ in range(rng.randint(1, 2)):
+        bit = 1 << rng.randrange(c.n)
+        masks = [m | bit for m in masks] if rng.random() < 0.5 else [m & ~bit for m in masks]
+    return FunctionClass.from_masks(c.n, set(masks))
+
+
+def extendable(c: FunctionClass, ones: int, zeros: int) -> bool:
+    dom = ones | zeros
+    return any(m.bits & dom == ones for m in c.members)
 
 
 class TestClassConstruction:
@@ -184,14 +205,48 @@ class TestExtentures:
         assert {f.pattern() for f in extentures(c)} == {"1"}
 
     def test_against_brute_reference(self, rng):
-        for _ in range(60):
-            c = random_class(rng, max_n=4)
+        constant = 0
+        for _ in range(120):
+            c = random_class_with_constants(rng)
+            constant += bool(c.constant_coordinates())
             assert {f.pattern() for f in extentures(c)} == brute_extentures(c)
+        assert constant >= 40
 
-    def test_cap(self):
-        c = FunctionClass.from_masks(17, [0])
-        with pytest.raises(CapExceededError):
+    def test_sorted_by_domain_size_then_ones_then_zeros(self, rng):
+        for _ in range(40):
+            found = extentures(random_class_with_constants(rng))
+            keys = [(f.domain.size, f.ones.bits, f.zeros.bits) for f in found]
+            assert keys == sorted(set(keys))
+
+    def test_kcnf_4_1_is_minimal_and_non_extendable(self):
+        c, _ = formula_class(FormulaClassSpec("kcnf", 4, k=1))
+        found = extentures(c)
+        assert len(found) == 768
+        for f in found:
+            ones, zeros = f.ones.bits, f.zeros.bits
+            assert not extendable(c, ones, zeros)
+            for i in f.domain:
+                assert extendable(c, ones & ~(1 << i), zeros & ~(1 << i))
+
+    def test_past_ground_size_16(self):
+        c = FunctionClass.from_masks(20, [0, (1 << 20) - 1])
+        assert len(extentures(c)) == 20 * 19
+
+    def test_work_cap(self, monkeypatch):
+        monkeypatch.setattr(suboplex.classes, "EXTENTURE_MAX_WORK", 100)
+        c = FunctionClass.full_class(4)
+        with pytest.raises(CapExceededError, match="^extenture search is capped at 100 steps$"):
             extentures(c)
+        monkeypatch.undo()
+        assert extentures(c) == ()
+
+    def test_family_cap(self, monkeypatch):
+        monkeypatch.setattr(suboplex.classes, "EXTENTURE_MAX_FAMILY", 10)
+        c = FunctionClass.from_masks(4, [0, 15])
+        with pytest.raises(CapExceededError, match="^extenture search is capped at 10 sets$"):
+            extentures(c)
+        monkeypatch.undo()
+        assert len(extentures(c)) == 12
 
 
 class TestSuboplexIdeal:
@@ -224,6 +279,28 @@ class TestSuboplexIdeal:
                 for j, h in enumerate(gens):
                     if i != j:
                         assert not g.divides(h)
+
+
+class TestIdealsWithoutPruning:
+    def test_equal_to_the_pruned_generators(self, rng):
+        for _ in range(100):
+            c = random_class_with_constants(rng)
+            points = [Subset(c.n, 1 << i) for i in range(c.n)]
+            gens = [SquarefreeMonomial(p, p) for p in points]
+            gens += [SquarefreeMonomial(f.zeros, f.ones) for f in extentures(c)]
+            assert suboplex_ideal(c) == IdealGenerators.minimal(c.n, gens)
+            members = [SquarefreeMonomial(a, a.complement()) for a in c.members]
+            assert dual_ideal(c) == IdealGenerators.minimal(c.n, members)
+
+    def test_no_divisibility_scan(self, monkeypatch, rng):
+        def refuse(self, other):
+            raise AssertionError("divisibility scan")
+
+        monkeypatch.setattr(SquarefreeMonomial, "divides", refuse)
+        for _ in range(20):
+            c = random_class_with_constants(rng)
+            suboplex_ideal(c)
+            dual_ideal(c)
 
 
 class TestDualIdeal:

@@ -30,6 +30,7 @@ U11_U23_BUILD = (
 
 U47_BUILD = 'matroid:{"type":"uniform","k":4,"m":7}'
 KCNF32_BUILD = 'formula:{"type":"kcnf","d":3,"k":2}'
+KCNF42_BUILD = 'formula:{"type":"kcnf","d":4,"k":2}'
 
 
 @pytest.fixture
@@ -58,6 +59,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out.rstrip("\n"), captured.err.rstrip("\n")
+
+
+def run_child_within_a_gib(*argv):
+    """Run the CLI in a child process limited to 1 GiB of address space."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(suboplex.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "suboplex.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit_memory,
+        capture_output=True, text=True, timeout=300,
+    )
 
 
 def pairwise_mobius_lines(p: SubsetPoset) -> list[str]:
@@ -264,17 +279,7 @@ class TestCheck:
 
     def test_acyclic_kcnf_4_2_is_capped_within_a_gib(self):
         """kcnf(4,2) has 2.09e10 faces to list; it must exit 2 before it runs out of memory."""
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        src = str(Path(suboplex.__file__).resolve().parent.parent)
-        spec = 'formula:{"type":"kcnf","d":4,"k":2}'
-        out = subprocess.run(
-            [sys.executable, "-m", "suboplex.cli", "check", "--acyclic", "--build", spec],
-            env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit_memory,
-            capture_output=True, text=True, timeout=300,
-        )
+        out = run_child_within_a_gib("check", "--acyclic", "--build", KCNF42_BUILD)
         assert out.returncode == 2, out.stderr
         assert out.stderr.splitlines() == [
             "error: acyclicity check is capped at 1000000 faces, got 20913485688"
@@ -307,6 +312,23 @@ class TestOtherVerbs:
         )
         assert code == 0 and out.splitlines() == ["00", "11"]
 
+    def test_extentures_kcnf_4_2_within_a_gib(self):
+        out = run_child_within_a_gib("extentures", "--build", KCNF42_BUILD)
+        assert out.returncode == 0, out.stderr
+        assert len(out.stdout.splitlines()) == 240
+
+    def test_extentures_cap_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(suboplex.classes, "EXTENTURE_MAX_WORK", 1000)
+        assert run(capsys, "extentures", "--build", KCNF32_BUILD) == (
+            2, "", "error: extenture search is capped at 1000 steps"
+        )
+
+    def test_build_complex_with_many_vertices(self, capsys):
+        spec = 'complex:{"vertices":10000000,"facets":[[0,1],[5,9999999]]}'
+        code, out, _ = run(capsys, "build", "--build", spec, "--as", "complex")
+        assert code == 0
+        assert json.loads(out) == {"vertices": 10000000, "facets": [[0, 1], [5, 9999999]]}
+
     def test_shatter_set(self, capsys, flag_poset_file):
         code, out, _ = run(
             capsys, "shatter", "--input", flag_poset_file, "--set", "0,1,2"
@@ -334,6 +356,12 @@ class TestOtherVerbs:
         )
         data = json.loads(out)
         assert data["n"] == 4 and len(data["functions"]) == 5
+
+    def test_formula_file_kind_is_inferred(self, capsys, tmp_path):
+        path = tmp_path / "formula.json"
+        path.write_text('{"type":"parity_conj","d":2}')
+        code, out, _ = run(capsys, "build", "--input", str(path), "--as", "class")
+        assert code == 0 and len(json.loads(out)["functions"]) == 5
 
     def test_cube_build(self, capsys):
         code, out, _ = run(capsys, "hdim", "--build", 'cube:{"d":2}')

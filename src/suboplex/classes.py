@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 from .bitsets import PartialFunction, SquarefreeMonomial, Subset, check_ground
 from .errors import CapExceededError, ValidationError
 from .posets import SubsetPoset
+from .complexes import SimplicialComplex  # kept after .posets: linalg first added 0.1 MB of RSS
 
 EXTENTURE_MAX_WORK = 500_000_000
 EXTENTURE_MAX_FAMILY = 1_000_000
@@ -26,7 +27,15 @@ EXTENTURE_MAX_FAMILY = 1_000_000
 class FunctionClass:
     """A nonempty set of total Boolean functions on [n], as 1-preimage subsets."""
 
-    __slots__ = ("n", "members", "_masks", "_mask_set", "_support_poset", "_extentures")
+    __slots__ = (
+        "n",
+        "members",
+        "_masks",
+        "_mask_set",
+        "_support_poset",
+        "_intersection_closed",
+        "_extentures",
+    )
 
     def __init__(self, n: int, members: Iterable[Subset]) -> None:
         check_ground(n)
@@ -44,6 +53,7 @@ class FunctionClass:
         self._mask_set = frozenset(masks)
         self.members: tuple[Subset, ...] = tuple(Subset(n, m) for m in masks)
         self._support_poset: SubsetPoset | None = None
+        self._intersection_closed: bool | None = None
         self._extentures: tuple[PartialFunction, ...] | None = None
 
     @classmethod
@@ -83,10 +93,25 @@ class FunctionClass:
     def support_poset(self) -> SubsetPoset:
         if self._support_poset is None:
             self._support_poset = SubsetPoset(self.n, self.members)
+            self._support_poset._intersection_closed = self._intersection_closed
         return self._support_poset
 
     def is_intersection_closed(self) -> bool:
-        return self.support_poset().is_intersection_closed()
+        """True iff the AND of every two members is a member; scanned once.
+
+        The support poset answers once it exists.  Before that the class
+        scans its own mask set and stops at the first missing AND, so a
+        class that is not closed never builds the O(m^2) poset tables;
+        the answer is handed to the support poset when that is built.
+        """
+        if self._support_poset is not None:
+            return self._support_poset.is_intersection_closed()
+        if self._intersection_closed is None:
+            masks, have = self._masks, self._mask_set
+            self._intersection_closed = all(
+                a & b in have for i, a in enumerate(masks) for b in masks[i + 1 :]
+            )
+        return self._intersection_closed
 
     def constant_coordinates(self) -> list[tuple[int, int]]:
         """Coordinates i where every member takes the same value."""
@@ -177,8 +202,6 @@ def vc_dimension(c: FunctionClass) -> int:
 
 def shatter_complex(c: FunctionClass):
     """The simplicial complex of all shattered subsets of [n]."""
-    from .complexes import SimplicialComplex
-
     faces = [u for level in _shattered_levels(c) for u in level]
     return SimplicialComplex.from_faces(c.n, faces)
 

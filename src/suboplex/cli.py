@@ -30,6 +30,7 @@ from .betti import (
     verify_acyclic,
 )
 from .bitsets import Subset
+from .builders import cube_complex, face_poset, formula_class
 from .builders.formulas import VARIANTS
 from .classes import (
     FunctionClass,
@@ -51,32 +52,23 @@ from .posets import SubsetPoset
 BUILD_KINDS = ("poset", "class", "matroid", "cube", "cells", "formula", "complex")
 
 
-class _Loaded:
-    """A parsed input: exactly one of poset / class / complex, plus adapters."""
+_Input = SubsetPoset | FunctionClass | SimplicialComplex
 
-    def __init__(self, poset=None, cls=None, complex_=None):
-        self.poset = poset
-        self.cls = cls
-        self.complex = complex_
 
-    def as_class(self) -> FunctionClass:
-        if self.cls is not None:
-            return self.cls
-        if self.poset is not None:
-            return class_from_poset(self.poset)
-        raise ValidationError("this command needs a function class or poset input")
+def _as_class(loaded: _Input) -> FunctionClass:
+    if isinstance(loaded, FunctionClass):
+        return loaded
+    if isinstance(loaded, SubsetPoset):
+        return class_from_poset(loaded)
+    raise ValidationError("this command needs a function class or poset input")
 
-    def as_poset(self) -> SubsetPoset:
-        if self.poset is not None:
-            return self.poset
-        if self.cls is not None:
-            return self.cls.support_poset()
-        raise ValidationError("this command needs a poset or function class input")
 
-    def as_complex(self) -> SimplicialComplex:
-        if self.complex is not None:
-            return self.complex
-        raise ValidationError("this command needs a simplicial complex input")
+def _as_poset(loaded: _Input) -> SubsetPoset:
+    if isinstance(loaded, SubsetPoset):
+        return loaded
+    if isinstance(loaded, FunctionClass):
+        return loaded.support_poset()
+    raise ValidationError("this command needs a poset or function class input")
 
 
 def _parse_json(text: str, origin: str) -> Any:
@@ -86,33 +78,26 @@ def _parse_json(text: str, origin: str) -> Any:
         raise ValidationError(f"malformed JSON in {origin}: {e}") from None
 
 
-def _load_document(kind: str, data: Any) -> _Loaded:
+def _load_document(kind: str, data: Any) -> _Input:
     if kind == "poset":
-        return _Loaded(poset=sio.poset_from_json(data))
+        return sio.poset_from_json(data)
     if kind == "class":
         c = sio.class_from_json(data)
         warn_if_degenerate(c)
-        return _Loaded(cls=c)
+        return c
     if kind == "matroid":
-        return _Loaded(poset=sio.matroid_from_json(data).flats())
+        return sio.matroid_from_json(data).flats()
     if kind == "cube":
-        from .builders import cube_complex
-
         d = data.get("d") if isinstance(data, dict) else None
         if not isinstance(d, int):
             raise ValidationError('cube spec must look like {"d": 2}')
-        return _Loaded(poset=cube_complex(d))
+        return cube_complex(d)
     if kind == "cells":
-        from .builders import face_poset
-
-        return _Loaded(poset=face_poset(sio.cells_from_json(data)))
+        return face_poset(sio.cells_from_json(data))
     if kind == "formula":
-        from .builders import formula_class
-
-        cls, poset = formula_class(sio.formula_from_json(data))
-        return _Loaded(poset=poset, cls=cls)
+        return formula_class(sio.formula_from_json(data))[1]
     if kind == "complex":
-        return _Loaded(complex_=sio.complex_from_json(data))
+        return sio.complex_from_json(data)
     raise ValidationError(f"unknown build kind {kind!r}; expected one of {BUILD_KINDS}")
 
 
@@ -134,7 +119,7 @@ def _infer_kind(data: Any) -> str:
     raise ValidationError("cannot infer input kind from the document's fields")
 
 
-def _load_input(args: argparse.Namespace) -> _Loaded:
+def _load_input(args: argparse.Namespace) -> _Input:
     if bool(args.input) == bool(args.build):
         raise ValidationError("exactly one of --input or --build is required")
     if args.input:
@@ -158,15 +143,15 @@ def _render_betti(table: BettiTable, fmt: str) -> str:
     return table.render()
 
 
-def _betti_table(loaded: _Loaded, args: argparse.Namespace) -> BettiTable:
+def _betti_table(loaded: _Input, args: argparse.Namespace) -> BettiTable:
     field = FieldSpec.parse(args.field)
     if args.method == "mobius":
-        return betti_via_mobius(loaded.as_poset(), field)
-    if loaded.complex is None:
-        poset = loaded.as_poset()
-        if poset.is_intersection_closed():
-            return betti_via_intervals(poset, field)
-    return betti_oracle(dual_ideal(loaded.as_class()), field)
+        return betti_via_mobius(_as_poset(loaded), field)
+    # a class answers from its own masks, so a non-closed one builds no poset
+    source = loaded if isinstance(loaded, SubsetPoset) else _as_class(loaded)
+    if source.is_intersection_closed():
+        return betti_via_intervals(_as_poset(source), field)
+    return betti_oracle(dual_ideal(_as_class(source)), field)
 
 
 def _parse_index_set(text: str, n: int) -> Subset:
@@ -178,14 +163,12 @@ def _parse_index_set(text: str, n: int) -> Subset:
 
 
 def _cmd_vcdim(args) -> int:
-    loaded = _load_input(args)
-    print(vc_dimension(loaded.as_class()))
+    print(vc_dimension(_as_class(_load_input(args))))
     return 0
 
 
 def _cmd_hdim(args) -> int:
-    loaded = _load_input(args)
-    print(homological_dimension(loaded.as_class(), FieldSpec.parse(args.field)))
+    print(homological_dimension(_as_class(_load_input(args)), FieldSpec.parse(args.field)))
     return 0
 
 
@@ -196,8 +179,7 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_mobius(args) -> int:
-    loaded = _load_input(args)
-    poset = loaded.as_poset()
+    poset = _as_poset(_load_input(args))
     if args.all:
         for i, a in enumerate(poset.elements):
             print(f"{a} {a} 1")
@@ -212,15 +194,13 @@ def _cmd_mobius(args) -> int:
 
 
 def _cmd_extentures(args) -> int:
-    loaded = _load_input(args)
-    for f in extentures(loaded.as_class()):
+    for f in extentures(_as_class(_load_input(args))):
         print(f.pattern())
     return 0
 
 
 def _cmd_shatter(args) -> int:
-    loaded = _load_input(args)
-    cls = loaded.as_class()
+    cls = _as_class(_load_input(args))
     if args.set is not None:
         u = _parse_index_set(args.set, cls.n)
         print("yes" if is_shattered(cls, u) else "no")
@@ -237,12 +217,12 @@ def _cmd_check(args) -> int:
     loaded = _load_input(args)
     field = FieldSpec.parse(args.field)
     results: list[tuple[str, bool]] = []
-    if loaded.complex is not None:
+    if isinstance(loaded, SimplicialComplex):
         if not args.cm or args.intersection_closed or args.acyclic or args.interval_cm:
             raise ValidationError("complex inputs support only the --cm check")
-        results.append(("CM", is_cohen_macaulay(loaded.as_complex(), field)))
+        results.append(("CM", is_cohen_macaulay(loaded, field)))
     else:
-        poset = loaded.as_poset()
+        poset = _as_poset(loaded)
         if args.intersection_closed:
             results.append(("intersection-closed", poset.is_intersection_closed()))
         if args.acyclic:
@@ -271,13 +251,15 @@ def _cmd_build(args) -> int:
     loaded = _load_input(args)
     target = args.as_
     if target is None:
-        target = "class" if (loaded.cls is not None and loaded.poset is None) else "poset"
+        target = "class" if isinstance(loaded, FunctionClass) else "poset"
     if target == "poset":
-        print(json.dumps(sio.poset_to_json(loaded.as_poset())))
+        print(json.dumps(sio.poset_to_json(_as_poset(loaded))))
     elif target == "class":
-        print(json.dumps(sio.class_to_json(loaded.as_class())))
+        print(json.dumps(sio.class_to_json(_as_class(loaded))))
     elif target == "complex":
-        print(json.dumps(sio.complex_to_json(loaded.as_complex())))
+        if not isinstance(loaded, SimplicialComplex):
+            raise ValidationError("this command needs a simplicial complex input")
+        print(json.dumps(sio.complex_to_json(loaded)))
     else:
         raise ValidationError(f"--as must be poset, class, or complex, got {target!r}")
     return 0
@@ -286,7 +268,7 @@ def _cmd_build(args) -> int:
 def _cmd_oracle(args) -> int:
     loaded = _load_input(args)
     field = FieldSpec.parse(args.field)
-    cls = loaded.as_class()
+    cls = _as_class(loaded)
     if args.what == "betti":
         print(_render_betti(betti_oracle(dual_ideal(cls), field), args.format))
     elif args.what == "reg":

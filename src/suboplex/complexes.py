@@ -97,12 +97,6 @@ class SimplicialComplex:
                 )
         k = cls(num_vertices, None)
         k._face_set = face_set
-        by_dim: dict[int, list[int]] = {}
-        for f in face_set:
-            by_dim.setdefault(f.bit_count() - 1, []).append(f)
-        for faces_d in by_dim.values():
-            faces_d.sort()
-        k._faces_by_dim = by_dim
         return k
 
     def _compute_facets(self) -> tuple[int, ...]:
@@ -144,12 +138,7 @@ class SimplicialComplex:
     def faces_by_dim(self) -> dict[int, list[int]]:
         """Faces grouped by dimension; includes {-1: [0]} for nonnull complexes."""
         if self._faces_by_dim is None:
-            by_dim: dict[int, list[int]] = {}
-            for f in self.face_set():
-                by_dim.setdefault(f.bit_count() - 1, []).append(f)
-            for faces_d in by_dim.values():
-                faces_d.sort()
-            self._faces_by_dim = by_dim
+            self._faces_by_dim = _by_dim(self.face_set())
         return self._faces_by_dim
 
     @property
@@ -157,9 +146,8 @@ class SimplicialComplex:
         """Dimension; -1 for the empty complex, -2 for the null complex."""
         if self.is_null:
             return -2
-        if self._faces_by_dim is not None:
-            return max(self._faces_by_dim)
-        return max(f.bit_count() for f in self._facets) - 1
+        faces = self._face_set if self._facets is None else self._facets
+        return max(f.bit_count() for f in faces) - 1
 
     def f_vector(self) -> dict[int, int]:
         return {d: len(fs) for d, fs in self.faces_by_dim().items()}
@@ -333,9 +321,9 @@ def interval_homology(
     """Reduced homology of the open interval (e_i, e_j) of ``p`` over the field.
 
     The faces come straight from the comparability masks of ``p``, with
-    no sub-poset and no ``SimplicialComplex``, sorted within each
-    dimension as ``SimplicialComplex.from_faces`` sorts them.  i == j
-    gives no faces, and a cover gives only the empty face.
+    no sub-poset and no ``SimplicialComplex``, grouped by ``_by_dim`` as
+    ``SimplicialComplex.faces_by_dim`` groups them.  i == j gives no
+    faces, and a cover gives only the empty face.
 
     When ``p`` is intersection-closed, every interval is a lattice with
     bitwise AND as meet, and the faces are those of the crosscut complex
@@ -368,12 +356,17 @@ def interval_homology(
     return _chain_homology(p.chain_masks(interior), fieldspec)
 
 
-def _chain_homology(faces: Iterable[int], fieldspec: FieldSpec) -> ChainHomology:
-    """Homology of a face family, sorted within each dimension as ``from_faces`` sorts it."""
+def _by_dim(faces: Iterable[int]) -> dict[int, list[int]]:
+    """Faces grouped by dimension, ascending within each; the empty face is dimension -1."""
     by_dim: dict[int, list[int]] = {}
     for f in sorted(faces):
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    return ChainHomology(by_dim, fieldspec)
+    return by_dim
+
+
+def _chain_homology(faces: Iterable[int], fieldspec: FieldSpec) -> ChainHomology:
+    """Homology of a face family, grouped by ``_by_dim`` as ``faces_by_dim`` groups it."""
+    return ChainHomology(_by_dim(faces), fieldspec)
 
 
 def _face_poset(k: SimplicialComplex) -> SubsetPoset:

@@ -1,11 +1,15 @@
 """Brute-force verifiers, independent of the theorem-driven fast paths.
 
 The Betti oracle enumerates every squarefree multidegree b of the
-polynomial ring and computes the reduced homology of the complex
+polynomial ring, with x(i,0) at bit i and x(i,1) at bit n + i as in a
+monomial's two supports, and computes the reduced homology of
 K^b = { tau subset supp(b) : b with tau removed lies in the ideal },
-whose (i-1)-st homology dimension is beta_{i,b}.  Complex construction
-here goes through ideal membership only, never through order-complex
-chains, so agreement with the interval method is a genuine cross-check.
+whose (i-1)-st homology dimension is beta_{i,b} (Miller-Sturmfels,
+"Combinatorial Commutative Algebra", Thm 1.34).  K^b comes from ideal
+membership only, never from poset chains, so agreement with the
+interval method is a genuine cross-check; only the boundary ranks
+(``ChainHomology``, ``rank_from_columns``) are shared with the sweeps.
+Homology does not depend on vertex numbering, so neither does any table.
 """
 
 from __future__ import annotations
@@ -13,37 +17,12 @@ from __future__ import annotations
 from .betti import BettiTable
 from .bitsets import SquarefreeMonomial, Subset
 from .classes import FunctionClass, IdealGenerators
-from .complexes import SimplicialComplex, reduced_homology
+from .complexes import _chain_homology
 from .errors import CapExceededError
 from .linalg import GF2, FieldSpec
 
 ORACLE_MAX_VARIABLES = 12
 VC_ORACLE_MAX_GROUND = 20
-
-
-def _generator_masks(gens: IdealGenerators) -> list[int]:
-    # Variable order: x(i,0) at bit 2i, x(i,1) at bit 2i+1.
-    masks = []
-    for g in gens:
-        m = 0
-        for i in range(gens.n):
-            if g.support0.bits >> i & 1:
-                m |= 1 << (2 * i)
-            if g.support1.bits >> i & 1:
-                m |= 1 << (2 * i + 1)
-        masks.append(m)
-    return masks
-
-
-def _monomial_from_mask(n: int, mask: int) -> SquarefreeMonomial:
-    s0 = 0
-    s1 = 0
-    for i in range(n):
-        if mask >> (2 * i) & 1:
-            s0 |= 1 << i
-        if mask >> (2 * i + 1) & 1:
-            s1 |= 1 << i
-    return SquarefreeMonomial(Subset(n, s0), Subset(n, s1))
 
 
 def upper_koszul_slice(member: bytearray, b: int) -> list[int]:
@@ -67,38 +46,37 @@ def upper_koszul_slice(member: bytearray, b: int) -> list[int]:
 def betti_oracle(gens: IdealGenerators, fieldspec: FieldSpec = GF2) -> BettiTable:
     """Full multigraded Betti table of a squarefree ideal, by exhaustion.
 
-    Every squarefree multidegree b is visited; beta_{i,b} is the
-    (i-1)-st reduced homology dimension of the slice K^b.  Membership
-    of a monomial in the ideal (some generator divides it) is
-    tabulated once up front.  Capped at 2n <= 12 variables.
+    A generator is the mask ``support0 | support1 << n``.  Every
+    squarefree multidegree b is visited; beta_{i,b} is the (i-1)-st
+    reduced homology dimension of the slice K^b, whose faces come from
+    the membership table alone.  Membership of a monomial in the ideal
+    (some generator divides it) is tabulated once up front.  Capped at
+    2n <= 12 variables.
     """
-    nvars = 2 * gens.n
-    if nvars > ORACLE_MAX_VARIABLES:
+    n = gens.n
+    if 2 * n > ORACLE_MAX_VARIABLES:
         raise CapExceededError(
-            f"Betti oracle is capped at {ORACLE_MAX_VARIABLES} variables, got {nvars}"
+            f"Betti oracle is capped at {ORACLE_MAX_VARIABLES} variables, got {2 * n}"
         )
-    gmasks = _generator_masks(gens)
-    size = 1 << nvars
+    gmasks = [g.support0.bits | g.support1.bits << n for g in gens]
+    size = 1 << 2 * n
     member = bytearray(size)
     for m in range(size):
         for g in gmasks:
             if g & m == g:
                 member[m] = 1
                 break
+    full = (1 << n) - 1
     entries: dict[tuple[int, SquarefreeMonomial], int] = {}
     for b in range(size):
         if not member[b]:
             continue  # K^b has no faces at all: nothing in this degree
-        faces = upper_koszul_slice(member, b)
-        profile = reduced_homology(
-            SimplicialComplex.from_faces(nvars, faces), fieldspec
-        )
-        if profile.is_zero:
-            continue
-        deg = _monomial_from_mask(gens.n, b)
-        for d, v in profile.nonzero.items():
-            entries[(d + 1, deg)] = v
-    return BettiTable(n=gens.n, entries=entries)
+        chain = _chain_homology(upper_koszul_slice(member, b), fieldspec)
+        for d in chain.faces:
+            v = chain.betti(d)
+            if v:
+                entries[(d + 1, SquarefreeMonomial(Subset(n, b & full), Subset(n, b >> n)))] = v
+    return BettiTable(n=n, entries=entries)
 
 
 def regularity_oracle(gens: IdealGenerators, fieldspec: FieldSpec = GF2) -> int:

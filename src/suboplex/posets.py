@@ -309,9 +309,20 @@ class SubsetPoset:
         return self._intersection_closed
 
     def _scan_intersection_closed(self) -> bool:
+        """Test the pairs (r, j) with r an element-orbit representative and j > r.
+
+        Every pair {x, y} is the image of a tested pair under an
+        automorphism, and automorphisms preserve AND and membership.  Let
+        r be the least index in x's orbit, with x = g r.  If g^-1 y comes
+        after r, the pair (r, g^-1 y) is tested.  Otherwise let s be the
+        least index in g^-1 y's orbit, with g^-1 y = h s; then h^-1 r lies
+        in r's orbit, so it comes after r and after s, and (s, h^-1 r) is
+        tested.  Under the trivial group these are all pairs i < j.
+        """
         masks = self._masks
         idx = self._index
-        for i, a in enumerate(masks):
+        for i in self.orbit_representatives():
+            a = masks[i]
             for b in masks[i + 1 :]:
                 if a & b not in idx:
                     return False

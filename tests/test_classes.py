@@ -136,6 +136,34 @@ class TestClassConstruction:
         assert constants == [(0, 1)]
 
 
+class TestIntersectionClosed:
+    def test_answers_without_the_support_poset(self, rng, monkeypatch):
+        classes = [random_class(rng, max_n=6, max_size=12) for _ in range(200)]
+        expected = [SubsetPoset(c.n, c.members).is_intersection_closed() for c in classes]
+        assert set(expected) == {True, False}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a support poset was built")
+
+        monkeypatch.setattr(SubsetPoset, "__init__", refuse)
+        assert [c.is_intersection_closed() for c in classes] == expected
+
+    def test_scans_once(self, monkeypatch):
+        scans = []
+        scan = SubsetPoset._scan_intersection_closed
+        monkeypatch.setattr(
+            SubsetPoset, "_scan_intersection_closed", lambda self: scans.append(self) or scan(self)
+        )
+        for c in (FunctionClass(4, u11_u23_class().members), FunctionClass.from_strings(["10", "01"])):
+            answer = c.is_intersection_closed()
+            assert c.support_poset().is_intersection_closed() == answer
+            assert c.is_intersection_closed() == answer
+        assert scans == []
+        c = u11_u23_class()  # its support poset came first, and answers for it
+        assert c.is_intersection_closed() and c.is_intersection_closed()
+        assert scans == [c.support_poset()]
+
+
 class TestShattering:
     def test_flagship_facts(self):
         c = u11_u23_class()

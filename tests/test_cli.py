@@ -464,6 +464,66 @@ class TestErrors:
             sizes[flag] = len(json.loads(out)["elements"])
         assert list(sizes.values()) == [10, 10, 4]
 
+    def test_non_closed_class_builds_no_poset(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a support poset was built")
+
+        monkeypatch.setattr(SubsetPoset, "__init__", refuse)
+        spec = 'class:{"n":7,"functions":["1010101","0101010"]}'
+        for verb in ("hdim", "betti"):
+            assert run(capsys, verb, "--build", spec) == (
+                2, "", "error: Betti oracle is capped at 12 variables, got 14"
+            )
+
+
+INPUT_KINDS = {
+    "poset": 'poset:{"n":3,"elements":["000","100","010","110","111"]}',
+    "class": 'class:{"n":3,"functions":["000","100","011","111"]}',
+    "formula": 'formula:{"type":"kcnf","d":2,"k":1}',
+    "matroid": 'matroid:{"type":"uniform","k":2,"m":3}',
+    "cube": 'cube:{"d":2}',
+    "cells": 'cells:{"vertices":3,"faces":[[0],[1],[2],[0,1],[1,2],[0,2],[0,1,2]]}',
+    "complex": 'complex:{"vertices":3,"facets":[[0,1],[1,2]]}',
+}
+NEEDS_CLASS = "error: this command needs a function class or poset input"
+NEEDS_POSET = "error: this command needs a poset or function class input"
+# verb -> its error line on a complex input; None where it answers
+ON_A_COMPLEX = {
+    "vcdim": NEEDS_CLASS,
+    "hdim": NEEDS_CLASS,
+    "betti": NEEDS_CLASS,
+    "betti --method mobius": NEEDS_POSET,
+    "mobius": NEEDS_POSET,
+    "mobius --all": NEEDS_POSET,
+    "extentures": NEEDS_CLASS,
+    "shatter": NEEDS_CLASS,
+    "shatter --set 0,1": NEEDS_CLASS,
+    "check --cm": None,
+    "check --acyclic": "error: complex inputs support only the --cm check",
+    "build": NEEDS_POSET,
+    "build --as class": NEEDS_CLASS,
+    "build --as complex": None,
+    "oracle betti": NEEDS_CLASS,
+    "oracle reg": NEEDS_CLASS,
+    "oracle vcdim": NEEDS_CLASS,
+}
+
+
+@pytest.mark.parametrize("kind", list(INPUT_KINDS))
+@pytest.mark.parametrize("verb", list(ON_A_COMPLEX))
+def test_every_verb_on_every_input_kind(capsys, verb, kind):
+    code, out, err = run(capsys, *verb.split(), "--build", INPUT_KINDS[kind])
+    if kind == "complex":
+        expected = ON_A_COMPLEX[verb]
+    elif verb == "build --as complex":
+        expected = "error: this command needs a simplicial complex input"
+    else:
+        expected = None
+    if expected is None:
+        assert code == 0 and err == ""
+    else:
+        assert (code, out, err) == (1, "", expected)
+
 
 def test_import_does_not_load_numpy():
     src = str(Path(suboplex.__file__).resolve().parent.parent)

@@ -30,7 +30,7 @@ from suboplex import (
     reduced_homology,
     truncated_order_complex,
 )
-from suboplex.complexes import ChainHomology, _bits, _crosscut_faces
+from suboplex.complexes import ChainHomology, _bits, _by_dim, _crosscut_faces
 
 HOLLOW_TRIANGLE = SimplicialComplex.from_facets(3, [0b011, 0b101, 0b110])
 
@@ -99,6 +99,17 @@ class TestComplexBasics:
         assert empty.dim == -1 and empty.is_empty_complex and not empty.is_null
         null = SimplicialComplex.from_faces(3, [])
         assert null.dim == -2 and null.is_null and not null.is_empty_complex
+
+    def test_one_face_bucketing(self, rng, no_facets):
+        for _ in range(40):
+            faces = random_complex(rng).face_set()
+            k = SimplicialComplex.from_faces(6, faces)
+            buckets = {
+                d: sorted(f for f in faces if f.bit_count() == d + 1)
+                for d in range(-1, max(f.bit_count() for f in faces))
+            }
+            assert k.faces_by_dim() == _by_dim(faces) == buckets
+            assert k.dim == max(buckets)
 
     def test_lazy_facets_match_from_facets(self, rng):
         for _ in range(40):

@@ -1,16 +1,25 @@
 import pytest
 
 from bundled import U11_U23_BETTI_TEXT, delta_class, u11_u23_class
-from conftest import random_class
+from conftest import random_class, refuse_everywhere
 from suboplex import (
+    GF2,
+    GF3,
+    QQ,
     CapExceededError,
     FunctionClass,
     IdealGenerators,
+    SimplicialComplex,
     SquarefreeMonomial,
     Subset,
+    SubsetPoset,
     betti_oracle,
+    betti_via_intervals,
+    class_from_poset,
     dual_ideal,
     homological_dimension,
+    intersection_closure,
+    reduced_homology,
     regularity_oracle,
     suboplex_ideal,
     vc_dimension,
@@ -42,6 +51,25 @@ class TestBettiOracle:
     def test_flagship_dual_ideal(self):
         table = betti_oracle(dual_ideal(u11_u23_class()))
         assert table.render() == U11_U23_BETTI_TEXT
+
+    def test_builds_no_complex(self, monkeypatch, rng):
+        # K^b comes from the membership table straight into ChainHomology
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle built a SimplicialComplex")
+
+        posets = [u11_u23_class().support_poset()]
+        for n in (2, 3, 4, 5, 6, 6, 6):
+            masks = {rng.getrandbits(n) for _ in range(rng.randint(2, 6))}
+            posets.append(SubsetPoset.from_masks(n, intersection_closure(masks)))
+        expected = {
+            (k, field): betti_via_intervals(p, field)
+            for k, p in enumerate(posets)
+            for field in (GF2, GF3, QQ)
+        }
+        monkeypatch.setattr(SimplicialComplex, "from_faces", classmethod(refuse))
+        refuse_everywhere(monkeypatch, reduced_homology, refuse)
+        for (k, field), table in expected.items():
+            assert betti_oracle(dual_ideal(class_from_poset(posets[k])), field) == table
 
     def test_arity_cap(self):
         gens = dual_ideal(FunctionClass.from_masks(7, [0]))

@@ -231,3 +231,29 @@ def test_oracle_agrees_and_never_reads_the_group(monkeypatch, name):
     gens = dual_ideal(class_from_poset(p))
     for field, table in tables.items():
         assert betti_oracle(gens, field) == table
+
+
+def pair_scan(p: SubsetPoset) -> bool:
+    masks = {e.bits for e in p.elements}
+    return all(a & b in masks for a in masks for b in masks)
+
+
+def test_closedness_scan_takes_orbit_representatives(monkeypatch):
+    # Builders are closed by construction; the families of all sets whose
+    # size lies in K, under S_n, are closed only for some K.
+    posets = [builder() for builder, _ in BUILDERS.values()]
+    for n in range(1, 8):
+        s_n = [[1, 0, *range(2, n)], [*range(1, n), 0]] if n > 1 else []
+        for k_mask in range(1, 1 << n + 1):
+            masks = [m for m in range(1 << n) if k_mask >> m.bit_count() & 1]
+            posets.append(SubsetPoset.from_masks(n, masks, s_n))
+    scans = []
+    reps_of = SubsetPoset.orbit_representatives
+    monkeypatch.setattr(
+        SubsetPoset, "orbit_representatives", lambda self: scans.append(self) or reps_of(self)
+    )
+    answers = [p._scan_intersection_closed() for p in posets]
+    assert scans == posets
+    assert answers == [pair_scan(p) for p in posets]
+    assert answers.count(False) >= 200
+    assert sum(len(reps_of(p)) < len(p) for p in posets) >= 200

@@ -29,8 +29,23 @@ from .errors import ValidationError
 MAX_GROUND = 64
 
 
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
+def is_int(x: object) -> bool:
+    """True for an int that is not a bool: JSON's true and false load as bools."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_ground(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not is_int(n):
         raise ValidationError(f"ground size must be an integer, got {n!r}")
     if not 1 <= n <= MAX_GROUND:
         raise ValidationError(
@@ -61,7 +76,7 @@ class Subset:
     def from_indices(cls, n: int, indices: Iterable[int]) -> "Subset":
         bits = 0
         for i in indices:
-            if not (isinstance(i, int) and 0 <= i < n):
+            if not (is_int(i) and 0 <= i < n):
                 raise ValidationError(f"index {i!r} out of range for ground size {n}")
             bits |= 1 << i
         return cls(n, bits)
@@ -84,7 +99,7 @@ class Subset:
         return self.bits.bit_count()
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.bits >> i & 1)
+        return tuple(_bits(self.bits))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices())

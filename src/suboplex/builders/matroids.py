@@ -14,7 +14,7 @@ from typing import Sequence
 from ..bitsets import Subset
 from ..errors import CapExceededError, ValidationError
 from ..linalg import FieldSpec, rank_from_columns
-from ..posets import SubsetPoset
+from ..posets import SubsetPoset, check_members
 
 FLATS_MAX_GROUND = 16
 
@@ -94,6 +94,7 @@ class Matroid:
                     if g not in collected and g not in fresh:
                         fresh.add(g)
             collected |= fresh
+            check_members(len(collected), "flat enumeration")
             frontier = fresh
         return SubsetPoset.from_masks(self.m, collected, self.symmetry)
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .bitsets import PartialFunction, SquarefreeMonomial, Subset, check_ground
 from .errors import CapExceededError, ValidationError
-from .posets import SubsetPoset
+from .posets import SubsetPoset, and_closed
 from .complexes import SimplicialComplex  # kept after .posets: linalg first added 0.1 MB of RSS
 
 EXTENTURE_MAX_WORK = 500_000_000
@@ -107,21 +107,19 @@ class FunctionClass:
         if self._support_poset is not None:
             return self._support_poset.is_intersection_closed()
         if self._intersection_closed is None:
-            masks, have = self._masks, self._mask_set
-            self._intersection_closed = all(
-                a & b in have for i, a in enumerate(masks) for b in masks[i + 1 :]
+            self._intersection_closed = and_closed(
+                self._masks, self._mask_set, range(len(self._masks))
             )
         return self._intersection_closed
 
     def constant_coordinates(self) -> list[tuple[int, int]]:
-        """Coordinates i where every member takes the same value."""
-        out = []
-        for i in range(self.n):
-            bit = 1 << i
-            values = {1 if m & bit else 0 for m in self._masks}
-            if len(values) == 1:
-                out.append((i, values.pop()))
-        return out
+        """Coordinates i where every member takes the same value: bit i of the
+        AND of all members equals bit i of their OR."""
+        lo, hi = -1, 0
+        for m in self._masks:
+            lo &= m
+            hi |= m
+        return [(i, lo >> i & 1) for i in range(self.n) if not (lo ^ hi) >> i & 1]
 
 
 def warn_if_degenerate(c: FunctionClass) -> list[tuple[int, int]]:

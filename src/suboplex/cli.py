@@ -29,7 +29,7 @@ from .betti import (
     homological_dimension,
     verify_acyclic,
 )
-from .bitsets import Subset
+from .bitsets import Subset, _bits, is_int
 from .builders import cube_complex, face_poset, formula_class
 from .builders.formulas import VARIANTS
 from .classes import (
@@ -89,7 +89,7 @@ def _load_document(kind: str, data: Any) -> _Input:
         return sio.matroid_from_json(data).flats()
     if kind == "cube":
         d = data.get("d") if isinstance(data, dict) else None
-        if not isinstance(d, int):
+        if not is_int(d):
             raise ValidationError('cube spec must look like {"d": 2}')
         return cube_complex(d)
     if kind == "cells":
@@ -206,9 +206,7 @@ def _cmd_shatter(args) -> int:
         print("yes" if is_shattered(cls, u) else "no")
         return 0
     complex_ = shatter_complex(cls)
-    facets = sorted(
-        [v for v in range(cls.n) if f >> v & 1] for f in complex_.facets
-    )
+    facets = sorted(_bits(f) for f in complex_.facets)
     print(json.dumps({"vc_dimension": complex_.dim + 1, "facets": facets}))
     return 0
 
@@ -222,14 +220,15 @@ def _cmd_check(args) -> int:
             raise ValidationError("complex inputs support only the --cm check")
         results.append(("CM", is_cohen_macaulay(loaded, field)))
     else:
-        poset = _as_poset(loaded)
         if args.intersection_closed:
-            results.append(("intersection-closed", poset.is_intersection_closed()))
+            # a class answers from its own masks, so this alone builds no poset
+            results.append(("intersection-closed", loaded.is_intersection_closed()))
         if args.acyclic:
-            results.append(("acyclic", verify_acyclic(poset, field, args.exhaustive)))
+            results.append(("acyclic", verify_acyclic(_as_poset(loaded), field, args.exhaustive)))
         if args.interval_cm or args.cm:
             # The order complex of a poset is CM iff its bounded copy is
             # interval-CM; a bounded poset is its own bounded copy.
+            poset = _as_poset(loaded)
             bounded = poset.bounded()
             cm = None
             if args.interval_cm:
@@ -256,12 +255,10 @@ def _cmd_build(args) -> int:
         print(json.dumps(sio.poset_to_json(_as_poset(loaded))))
     elif target == "class":
         print(json.dumps(sio.class_to_json(_as_class(loaded))))
-    elif target == "complex":
+    else:
         if not isinstance(loaded, SimplicialComplex):
             raise ValidationError("this command needs a simplicial complex input")
         print(json.dumps(sio.complex_to_json(loaded)))
-    else:
-        raise ValidationError(f"--as must be poset, class, or complex, got {target!r}")
     return 0
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .bitsets import MAX_GROUND
+from .bitsets import MAX_GROUND, _bits
 from .errors import CapExceededError, ValidationError
 from .linalg import GF2, FieldSpec, rank_from_columns
 from .posets import Interval, SubsetPoset
@@ -33,16 +33,6 @@ def _submasks(mask: int):
         if sub == 0:
             return
         sub = (sub - 1) & mask
-
-
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return out
 
 
 class SimplicialComplex:
@@ -78,7 +68,7 @@ class SimplicialComplex:
             for f in masks
             if not any(f != g and f & g == f for g in masks)
         ]
-        return cls(num_vertices, tuple(sorted(maximal)))
+        return cls(num_vertices, tuple(maximal))
 
     @classmethod
     def from_faces(cls, num_vertices: int, faces) -> "SimplicialComplex":
@@ -100,16 +90,11 @@ class SimplicialComplex:
         return k
 
     def _compute_facets(self) -> tuple[int, ...]:
+        """The faces not equal to a face less one vertex: in a subset-closed family a
+        face under a larger face lies under one with one more vertex."""
         assert self._face_set is not None
         faces = self._face_set
-        nv = self.num_vertices
-        maximal = []
-        for f in faces:
-            if not any(
-                f | (1 << v) in faces for v in range(nv) if not f >> v & 1
-            ):
-                maximal.append(f)
-        return tuple(sorted(maximal))
+        return tuple(sorted(faces.difference(f ^ 1 << v for f in faces for v in _bits(f))))
 
     @property
     def facets(self) -> tuple[int, ...]:
@@ -217,12 +202,6 @@ class ChainHomology:
         self.faces = faces_by_dim
         self.field = fieldspec
         self._ranks: dict[int, int] = {}
-        self._indexes: dict[int, dict[int, int]] = {}
-
-    def _index(self, d: int) -> dict[int, int]:
-        if d not in self._indexes:
-            self._indexes[d] = {f: i for i, f in enumerate(self.faces.get(d, ()))}
-        return self._indexes[d]
 
     def boundary_rank(self, d: int) -> int:
         """Rank of the boundary map from dimension d to dimension d-1."""
@@ -233,7 +212,7 @@ class ChainHomology:
         if not rows or not cols:
             self._ranks[d] = 0
             return 0
-        row_index = self._index(d - 1)
+        row_index = {f: i for i, f in enumerate(rows)}
         columns = []
         for f in cols:
             col = []

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .bitsets import Subset
+from .bitsets import Subset, _bits, is_int
 from .builders import (
     CellComplexInput,
     DirectSumMatroid,
@@ -34,7 +34,7 @@ from .builders import (
     UniformMatroid,
 )
 from .classes import FunctionClass
-from .complexes import SimplicialComplex, _bits
+from .complexes import SimplicialComplex
 from .errors import ValidationError
 from .posets import SubsetPoset
 
@@ -44,7 +44,7 @@ def _require(data: Any, key: str, what: str, kind: type = object) -> Any:
         raise ValidationError(f"{what} document must be a JSON object")
     if key not in data:
         raise ValidationError(f"{what} document is missing the {key!r} field")
-    if not isinstance(data[key], kind):
+    if not (is_int(data[key]) if kind is int else isinstance(data[key], kind)):
         raise ValidationError(f"{what} field {key!r} must be {kind.__name__}, got {data[key]!r}")
     return data[key]
 
@@ -96,7 +96,7 @@ def complex_from_json(data: Any) -> SimplicialComplex:
             raise ValidationError(f"complex facet {face!r} must be a vertex list")
         mask = 0
         for v in face:
-            if not isinstance(v, int) or not 0 <= v < nv:
+            if not is_int(v) or not 0 <= v < nv:
                 raise ValidationError(f"facet vertex {v!r} out of range({nv})")
             mask |= 1 << v
         masks.append(mask)
@@ -118,7 +118,7 @@ def matroid_from_json(data: Any) -> Matroid:
     if kind == "linear":
         p = _require(data, "p", "linear matroid", int)
         rows = _require(data, "matrix", "linear matroid", list)
-        if not all(isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rows):
+        if not all(isinstance(r, list) and all(is_int(x) for x in r) for r in rows):
             raise ValidationError("linear matroid matrix must be a list of integer rows")
         return LinearMatroid.from_rows(p, rows)
     if kind == "graphic":
@@ -126,7 +126,7 @@ def matroid_from_json(data: Any) -> Matroid:
         edges = _require(data, "edges", "graphic matroid", list)
         pairs = []
         for e in edges:
-            if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)):
+            if not (isinstance(e, list) and len(e) == 2 and all(is_int(v) for v in e)):
                 raise ValidationError(f"graphic matroid edge {e!r} must be a pair of vertices")
             pairs.append((e[0], e[1]))
         return GraphicMatroid(nv, pairs)
@@ -141,6 +141,8 @@ def matroid_from_json(data: Any) -> Matroid:
 def cells_from_json(data: Any) -> CellComplexInput:
     nv = _require(data, "vertices", "cell complex", int)
     faces = _require(data, "faces", "cell complex", list)
+    if not all(isinstance(face, list) for face in faces):
+        raise ValidationError("cell complex faces must be vertex lists")
     return CellComplexInput.from_vertex_lists(nv, faces)
 
 

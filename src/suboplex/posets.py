@@ -22,19 +22,43 @@ restrictions ignore the symmetry; ``intervals`` still lists every pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
-from .bitsets import Subset, check_ground
-from .errors import ValidationError
+from .bitsets import Subset, _bits, check_ground
+from .errors import CapExceededError, ValidationError
+
+# Four comparability tables of m^2 bits each: about 200 MB at the cap.
+POSET_MAX_MEMBERS = 20_000
+
+
+def check_members(count: int, what: str) -> None:
+    """Raise ``CapExceededError`` once ``count`` passes ``POSET_MAX_MEMBERS``."""
+    if count > POSET_MAX_MEMBERS:
+        raise CapExceededError(f"{what} is capped at {POSET_MAX_MEMBERS} members, got {count}")
 
 
 def intersection_closure(masks: Iterable[int]) -> set[int]:
-    """Close masks under AND one generator at a time: (g & a) & (g & b) = g & (a & b)."""
+    """Close masks under AND one generator at a time: (g & a) & (g & b) = g & (a & b).
+
+    The closure only grows, so it is capped after each generator.
+    """
     closed: set[int] = set()
     for g in masks:
         closed |= {g & c for c in closed}
         closed.add(g)
+        check_members(len(closed), "intersection closure")
     return closed
+
+
+def and_closed(masks: Sequence[int], members: Container[int], firsts: Iterable[int]) -> bool:
+    """True iff ``masks[i] & b`` is in ``members`` for each i in ``firsts`` and
+    each b after ``masks[i]``; stops at the first missing AND."""
+    for i in firsts:
+        a = masks[i]
+        for b in masks[i + 1 :]:
+            if a & b not in members:
+                return False
+    return True
 
 
 class SubsetPoset:
@@ -67,6 +91,7 @@ class SubsetPoset:
                     f"poset element width {e.n} does not match ground size {n}"
                 )
         masks = [e.bits for e in elems]
+        check_members(len(masks), "a poset")
         if len(set(masks)) != len(masks):
             raise ValidationError("poset elements must be distinct")
         order = sorted(masks, key=lambda m: (m.bit_count(), m))
@@ -80,7 +105,7 @@ class SubsetPoset:
         for i in range(size):
             mi = order[i]
             for j in range(i + 1, size):
-                if mi & order[j] == mi and mi != order[j]:
+                if mi & order[j] == mi:
                     up[i] |= 1 << j
                     down[j] |= 1 << i
         self._up_strict = up
@@ -110,11 +135,7 @@ class SubsetPoset:
             )
         images = []
         for m in self._masks:
-            image, rest = 0, m
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                image |= 1 << g[low.bit_length() - 1]
+            image = sum(1 << g[v] for v in _bits(m))
             if image not in self._index:
                 raise ValidationError(
                     f"symmetry generator {k} maps {Subset(self.n, m)} to a non-member"
@@ -292,15 +313,8 @@ class SubsetPoset:
                     yield (i, *row), self._orbit(seen, i, row[0])
 
     def cover_relations(self) -> list[tuple[Subset, Subset]]:
-        out = []
-        for i, cov in enumerate(self._covers_up):
-            rest = cov
-            while rest:
-                j = rest.bit_length() - 1
-                rest ^= 1 << j
-                out.append((self.elements[i], self.elements[j]))
-        out.sort(key=lambda ab: (self._index[ab[0].bits], self._index[ab[1].bits]))
-        return out
+        e = self.elements
+        return [(e[i], e[j]) for i, cov in enumerate(self._covers_up) for j in _bits(cov)]
 
     def is_intersection_closed(self) -> bool:
         """True iff the AND of every two members is a member; scanned once."""
@@ -319,14 +333,7 @@ class SubsetPoset:
         in r's orbit, so it comes after r and after s, and (s, h^-1 r) is
         tested.  Under the trivial group these are all pairs i < j.
         """
-        masks = self._masks
-        idx = self._index
-        for i in self.orbit_representatives():
-            a = masks[i]
-            for b in masks[i + 1 :]:
-                if a & b not in idx:
-                    return False
-        return True
+        return and_closed(self._masks, self._index, self.orbit_representatives())
 
     def closure(self, a: Subset) -> Subset | None:
         """Intersection of all elements containing ``a``; None if there are none."""
@@ -341,17 +348,16 @@ class SubsetPoset:
         return Subset(self.n, acc)
 
     def bottom(self) -> Subset | None:
-        """The unique minimal element, if the poset is bounded below."""
-        if not self._masks:
-            return None
-        mins = [i for i in range(len(self._masks)) if self._down_strict[i] == 0]
-        return self.elements[mins[0]] if len(mins) == 1 else None
+        """The unique minimal element, if the poset is bounded below.
+
+        A bottom lies strictly under every other member, so only e_0 can be one."""
+        size = len(self._masks)
+        return self.elements[0] if size and self._up_strict[0] == (1 << size) - 2 else None
 
     def top(self) -> Subset | None:
-        if not self._masks:
-            return None
-        maxs = [i for i in range(len(self._masks)) if self._up_strict[i] == 0]
-        return self.elements[maxs[0]] if len(maxs) == 1 else None
+        """The unique maximal element, if any; only the last element can be one."""
+        size = len(self._masks)
+        return self.elements[-1] if size and self._down_strict[-1] == (1 << size - 1) - 1 else None
 
     def bounded(self) -> "SubsetPoset":
         """This poset with the AND and the OR of all its members added.
@@ -389,19 +395,10 @@ class SubsetPoset:
         """
         if within is None:
             within = (1 << len(self)) - 1
-        above: dict[int, list[int]] = {}
-        rest = within
-        while rest:
-            i = rest.bit_length() - 1
-            rest ^= 1 << i
-            above[i] = []
-            up = self._up_strict[i] & within
-            while up:
-                j = up.bit_length() - 1
-                up ^= 1 << j
-                above[i].append(j)
+        down_from = _bits(within)[::-1]  # the stack then pops the lowest index first
+        above = {i: _bits(self._up_strict[i] & within)[::-1] for i in down_from}
         yield 0
-        stack = [(1 << i, i) for i in above]
+        stack = [(1 << i, i) for i in down_from]
         while stack:
             mask, last = stack.pop()
             yield mask
@@ -411,13 +408,7 @@ class SubsetPoset:
     def chains(self) -> Iterator[tuple[Subset, ...]]:
         """All chains as strictly increasing element tuples."""
         for mask in self.chain_masks():
-            out = []
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                out.append(self.elements[low.bit_length() - 1])
-            yield tuple(out)
+            yield tuple(self.elements[i] for i in _bits(mask))
 
     def interval(self, a: Subset, b: Subset, open: bool = False) -> "Interval":
         self._require_member(a)

@@ -42,6 +42,18 @@ class TestSubset:
         with pytest.raises(ValidationError):
             Subset.from_string("012")
 
+    def test_from_indices_rejects_booleans(self):
+        assert Subset.from_indices(3, [0, 2]) == S("101")
+        with pytest.raises(ValidationError, match="index True out of range"):
+            Subset.from_indices(3, [0, True])
+
+    def test_indices_match_a_range_scan(self, rng):
+        for _ in range(300):
+            n = rng.randint(1, 64)
+            s = Subset(n, rng.getrandbits(n))
+            assert s.indices() == tuple(i for i in range(n) if s.bits >> i & 1)
+            assert list(s) == list(s.indices())
+
 
 class TestDelta:
     def test_total_function(self):

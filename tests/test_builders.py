@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+import suboplex.posets
 from bundled import (
     bundled_matroids,
     triangle_square_input,
@@ -108,6 +109,13 @@ class TestLatticeOfFlats:
     def test_rank_matches_matroid(self):
         for name, m in bundled_matroids().items():
             assert m.flats().rank() == m.full_rank, name
+
+    def test_member_cap_after_each_level(self, monkeypatch):
+        monkeypatch.setattr(suboplex.posets, "POSET_MAX_MEMBERS", 23)
+        assert len(UniformMatroid(3, 6).flats()) == 1 + 6 + 15 + 1
+        monkeypatch.setattr(suboplex.posets, "POSET_MAX_MEMBERS", 21)  # passed before the top
+        with pytest.raises(CapExceededError, match="enumeration is capped at 21 members, got 22"):
+            UniformMatroid(3, 6).flats()
 
     def test_cap(self):
         with pytest.raises(CapExceededError):

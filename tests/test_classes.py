@@ -135,6 +135,19 @@ class TestClassConstruction:
             constants = warn_if_degenerate(c)
         assert constants == [(0, 1)]
 
+    def test_constant_coordinates_match_value_sets(self, rng):
+        found = 0
+        for _ in range(200):
+            c = random_class_with_constants(rng)
+            expected = []
+            for i in range(c.n):
+                values = {m.bits >> i & 1 for m in c.members}
+                if len(values) == 1:
+                    expected.append((i, values.pop()))
+            assert c.constant_coordinates() == expected
+            found += bool(expected)
+        assert found >= 60
+
 
 class TestIntersectionClosed:
     def test_answers_without_the_support_poset(self, rng, monkeypatch):

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,18 @@ class TestCheck:
         assert code == 2
         assert err == "error: acyclicity check is capped at 777471 faces, got 777472"
 
+    def test_intersection_closed_class_builds_no_poset(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a support poset was built")
+
+        monkeypatch.setattr(SubsetPoset, "__init__", refuse)
+        closed, not_closed = ["000", "110", "011", "010"], ["110", "011", "001"]
+        for functions, answer in ((closed, "yes"), (not_closed, "no")):
+            path = tmp_path / "class.json"
+            path.write_text(json.dumps({"n": 3, "functions": functions}))
+            code, out, _ = run(capsys, "check", "--intersection-closed", "--input", str(path))
+            assert (code, out) == (0, f"intersection-closed: {answer}")
+
     def test_acyclic_kcnf_4_2_is_capped_within_a_gib(self):
         """kcnf(4,2) has 2.09e10 faces to list; it must exit 2 before it runs out of memory."""
         out = run_child_within_a_gib("check", "--acyclic", "--build", KCNF42_BUILD)
@@ -447,6 +460,55 @@ class TestErrors:
         code, out, err = run(capsys, "build", "--build", spec)
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            'matroid:{"type":"uniform","k":true,"m":3}',
+            'cube:{"d":true}',
+            'formula:{"type":"kcnf","d":2,"k":true}',
+            'cells:{"vertices":3,"faces":[[0,true]]}',
+            'matroid:{"type":"linear","p":2,"matrix":[[1,true]]}',
+            'matroid:{"type":"graphic","vertices":2,"edges":[[0,true]]}',
+            'complex:{"vertices":true,"facets":[[0]]}',
+        ],
+    )
+    def test_json_booleans_are_not_integers(self, capsys, spec):
+        target = "complex" if spec.startswith("complex:") else "poset"
+        code, out, err = run(capsys, "build", "--as", target, "--build", spec)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_cell_faces_must_be_lists(self, capsys):
+        code, out, err = run(capsys, "build", "--build", 'cells:{"vertices":3,"faces":[5]}')
+        assert (code, out, err) == (1, "", "error: cell complex faces must be vertex lists")
+
+    @pytest.mark.parametrize(
+        "spec, line",
+        [
+            (
+                'matroid:{"type":"uniform","k":16,"m":16}',
+                "error: flat enumeration is capped at 20000 members, got 26333",
+            ),
+            (
+                'formula:{"type":"kcnf","d":4,"k":3}',
+                "error: intersection closure is capped at 20000 members, got 21230",
+            ),
+            (
+                "formula:" + json.dumps({
+                    "type": "csp",
+                    "d": 4,
+                    "generators": ["1" * v + "0" + "1" * (15 - v) for v in range(16)],
+                }),
+                "error: intersection closure is capped at 20000 members, got 32768",
+            ),
+        ],
+    )
+    def test_member_cap_exits_2_within_a_gib(self, spec, line):
+        start = time.perf_counter()
+        out = run_child_within_a_gib("build", "--build", spec)
+        assert time.perf_counter() - start < 10
+        assert (out.returncode, out.stdout, out.stderr.splitlines()) == (2, "", [line])
 
     @pytest.mark.parametrize("flag", ['"false"', "0", "1", "null", "[]"])
     def test_monotone_flag_must_be_a_boolean(self, capsys, flag):

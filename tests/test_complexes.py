@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from bundled import bowtie_poset, u11_u23_flats
 from conftest import (
     RP2_FACETS,
+    random_class,
     random_complex,
     random_intersection_closed_poset,
     random_poset,
@@ -28,6 +29,7 @@ from suboplex import (
     order_complex,
     reduced_euler_characteristic,
     reduced_homology,
+    shatter_complex,
     truncated_order_complex,
 )
 from suboplex.complexes import ChainHomology, _bits, _by_dim, _crosscut_faces
@@ -116,6 +118,23 @@ class TestComplexBasics:
             p = random_poset(rng)
             k = order_complex(p)
             assert k.facets == SimplicialComplex.from_facets(len(p), k.face_set()).facets
+
+    def test_facets_match_a_vertex_probe(self, rng):
+        def vertex_probe_facets(k: SimplicialComplex) -> tuple[int, ...]:
+            faces = k.face_set()
+            nv = k.num_vertices
+            return tuple(sorted(
+                f for f in faces
+                if not any(f | 1 << v in faces for v in range(nv) if not f >> v & 1)
+            ))
+
+        for _ in range(60):
+            for k in (
+                SimplicialComplex.from_faces(6, random_complex(rng).face_set()),
+                shatter_complex(random_class(rng, max_n=6, max_size=20)),
+                order_complex(random_poset(rng, max_n=5)),
+            ):
+                assert k.facets == vertex_probe_facets(k)
 
     def test_homology_path_needs_no_facets(self, rng, no_facets):
         for _ in range(20):

@@ -1,5 +1,6 @@
 import pytest
 
+import suboplex.posets
 from bundled import bowtie_poset, u11_u23_flats
 from conftest import (
     frontier_closure,
@@ -8,6 +9,7 @@ from conftest import (
     random_poset,
 )
 from suboplex import (
+    CapExceededError,
     Subset,
     SubsetPoset,
     ValidationError,
@@ -93,6 +95,16 @@ class TestCovers:
         assert (S("000"), S("110")) not in covers
         assert len(covers) == 2
 
+    def test_matches_a_sorted_cover_list(self, rng):
+        for _ in range(100):
+            p = random_poset(rng, max_n=5)
+            below = [(a, b) for a in p for b in p if a != b and p.leq(a, b)]
+            covers = [
+                (a, b) for a, b in below if not any((a, c) in below and (c, b) in below for c in p)
+            ]
+            covers.sort(key=lambda ab: (p.index(ab[0]), p.index(ab[1])))
+            assert p.cover_relations() == covers
+
 
 class TestIntersectionClosed:
     def test_flat_lattice(self):
@@ -152,7 +164,45 @@ class TestIntersectionClosed:
                 assert covered == (cl is not None and cl in p)
 
 
+class TestMemberCap:
+    def test_closure_and_poset_raise_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(suboplex.posets, "POSET_MAX_MEMBERS", 4)
+        assert len(SubsetPoset.from_masks(2, range(4))) == 4
+        assert intersection_closure([0b011, 0b110]) == {0b011, 0b110, 0b010}
+        with pytest.raises(CapExceededError, match="intersection closure is capped at 4"):
+            intersection_closure([0b0111, 0b1110, 0b1011])
+        p = SubsetPoset.__new__(SubsetPoset)
+        with pytest.raises(CapExceededError, match="a poset is capped at 4 members, got 5"):
+            p.__init__(3, [Subset(3, m) for m in range(5)])
+        assert not hasattr(p, "_masks") and not hasattr(p, "_up_strict")
+
+
+def unique_extreme(p: SubsetPoset, minimal: bool) -> Subset | None:
+    """The only element with nothing strictly below (or above) it, if there is one."""
+    found = [
+        a for a in p if not any(b != a and (p.leq(b, a) if minimal else p.leq(a, b)) for b in p)
+    ]
+    return found[0] if len(found) == 1 else None
+
+
 class TestBounded:
+    def test_bottom_and_top_match_the_extreme_scans(self, rng):
+        posets = [random_poset(rng) for _ in range(300)] + [
+            SubsetPoset(3, []),
+            SubsetPoset.from_strings(["010"]),
+            SubsetPoset.from_strings(["10", "01"]),
+            SubsetPoset.from_strings(["100", "010", "110", "011"]),
+        ]
+        kinds = set()
+        for p in posets:
+            assert p.bottom() == unique_extreme(p, minimal=True)
+            assert p.top() == unique_extreme(p, minimal=False)
+            kinds.add((len(p), p.bottom() is None, p.top() is None))
+        assert {(1, False, False), (2, True, True)} <= kinds
+        assert {(b, t) for size, b, t in kinds if size > 2} == {
+            (True, True), (True, False), (False, True), (False, False)
+        }
+
     def test_bowtie_gains_only_a_top(self):
         p = bowtie_poset()
         b = p.bounded()

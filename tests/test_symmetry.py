@@ -35,6 +35,7 @@ from suboplex.builders import (
     formula_class,
 )
 from suboplex.io import poset_from_json
+from suboplex.posets import and_closed
 
 
 def formula(variant: str, d: int, k: int | None = None) -> SubsetPoset:
@@ -257,3 +258,17 @@ def test_closedness_scan_takes_orbit_representatives(monkeypatch):
     assert answers == [pair_scan(p) for p in posets]
     assert answers.count(False) >= 200
     assert sum(len(reps_of(p)) < len(p) for p in posets) >= 200
+
+
+def test_and_closed_over_every_index_matches_the_orbit_scan(rng):
+    posets = [builder() for builder, _ in BUILDERS.values()]
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        s_n = [[1, 0, *range(2, n)], [*range(1, n), 0]] if n > 1 else []
+        sizes = rng.getrandbits(n + 1) or 1
+        posets.append(SubsetPoset.from_masks(
+            n, [m for m in range(1 << n) if sizes >> m.bit_count() & 1], s_n
+        ))
+    answers = [and_closed(p._masks, p._index, range(len(p))) for p in posets]
+    assert answers == [p._scan_intersection_closed() for p in posets]
+    assert 50 <= answers.count(False) <= len(posets) - 50

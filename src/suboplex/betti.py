@@ -32,9 +32,7 @@ starts passes only from element-orbit representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .bitsets import SquarefreeMonomial, monomial
+from .bitsets import SquarefreeMonomial, Value, mask_string, monomial
 from .classes import FunctionClass, dual_ideal
 from .complexes import (
     SimplicialComplex,
@@ -51,16 +49,24 @@ EXHAUSTIVE_ACYCLICITY_MAX_GROUND = 6
 ACYCLICITY_MAX_FACES = 10**6
 
 
-@dataclass
-class BettiTable:
+class BettiTable(Value):
     """Multigraded Betti numbers: (homological index, multidegree) -> value.
 
     Only nonzero entries are stored.  Rendering and Z-graded
-    aggregation reconstruct the rectangular shape.
+    aggregation reconstruct the rectangular shape.  Unlike the other
+    value types it is mutable and so unhashable.
     """
 
+    _fields = ("n", "entries")
     n: int
     entries: dict[tuple[int, SquarefreeMonomial], int]
+    __hash__ = None  # type: ignore[assignment]
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, n: int, entries: dict[tuple[int, SquarefreeMonomial], int]) -> None:
+        self.n = n
+        self.entries = entries
 
     def get(self, i: int, m: SquarefreeMonomial) -> int:
         return self.entries.get((i, m), 0)
@@ -101,32 +107,36 @@ class BettiTable:
         return "\n".join(lines)
 
     def json_entries(self) -> list[dict]:
-        def degree_text(m: SquarefreeMonomial) -> str:
+        """Entries by (i, degree, support masks); m(A, B) is written from the masks."""
+        n = self.n
+        rows = []
+        for (i, m), v in self.entries.items():
+            s0, s1 = m.support0.bits, m.support1.bits
             if m.has_full_support:
-                a, b = m.set_pair()
-                return f"m({a},{b})"
-            return str(m)
-
-        items = sorted(
-            self.entries.items(),
-            key=lambda kv: (kv[0][0], kv[0][1].degree, kv[0][1].support0.bits, kv[0][1].support1.bits),
-        )
-        return [
-            {"i": i, "degree": degree_text(m), "value": v} for (i, m), v in items
-        ]
+                text = f"m({mask_string(n, ~s1 & (1 << n) - 1)},{mask_string(n, s0)})"
+            else:
+                text = str(m)
+            rows.append((i, s0.bit_count() + s1.bit_count(), s0, s1, text, v))
+        rows.sort()
+        return [{"i": i, "degree": text, "value": v} for i, _, _, _, text, v in rows]
 
 
-@dataclass(frozen=True)
-class LabeledComplex:
+class LabeledComplex(Value):
     """The order complex of a poset with faces labeled by monomials.
 
     A chain's label is m(min, max), the lcm of its vertex labels; the
     empty face is labeled 1.
     """
 
+    _fields = ("poset", "complex", "labels")
     poset: SubsetPoset
     complex: SimplicialComplex
     labels: dict[int, SquarefreeMonomial]
+
+    def __init__(
+        self, poset: SubsetPoset, complex: SimplicialComplex, labels: dict[int, SquarefreeMonomial]
+    ) -> None:
+        self._assign(poset, complex, labels)
 
 
 def cellular_resolution(p: SubsetPoset) -> LabeledComplex:

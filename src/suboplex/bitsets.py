@@ -21,7 +21,7 @@ monomials, and intersection of partial functions to lcm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
@@ -54,19 +54,71 @@ def check_ground(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True, slots=True)
-class Subset:
+def mask_string(n: int, bits: int) -> str:
+    """Membership string of an n-bit mask: character i is bit i."""
+    return format(bits, f"0{n}b")[::-1]
+
+
+_set = object.__setattr__
+
+
+class Value:
+    """An immutable record of the fields named in ``_fields``, in order.
+
+    An instance equals only an instance of the same class with equal
+    fields, hashes as its field tuple, prints as ``Name(field=value, ...)``
+    and refuses assignment, as a frozen dataclass does.  ``__init__``
+    validates its arguments and stores them with ``_assign``; the three
+    bitset types, built most often, set their two slots directly.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        get = attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda x: (get(x),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+    def _assign(self, *values: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            _set(self, name, value)
+
+
+class Subset(Value):
     """A subset of [n], stored as an n-bit mask (bit i = membership of i)."""
 
+    __slots__ = _fields = ("n", "bits")
     n: int
     bits: int
 
-    def __post_init__(self) -> None:
-        check_ground(self.n)
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValidationError(
-                f"bit vector 0x{self.bits:x} out of range for ground size {self.n}"
-            )
+    def __init__(self, n: int, bits: int) -> None:
+        if n.__class__ is not int or not 1 <= n <= MAX_GROUND:
+            check_ground(n)
+        if not 0 <= bits < (1 << n):
+            raise ValidationError(f"bit vector 0x{bits:x} out of range for ground size {n}")
+        _set(self, "n", n)
+        _set(self, "bits", bits)
 
     @classmethod
     def empty(cls, n: int) -> "Subset":
@@ -89,7 +141,7 @@ class Subset:
         return cls(len(s), sum(1 << i for i, c in enumerate(s) if c == "1"))
 
     def to_string(self) -> str:
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.n))
+        return mask_string(self.n, self.bits)
 
     def __str__(self) -> str:
         return self.to_string()
@@ -141,21 +193,23 @@ class Subset:
         return self.bits & other.bits == 0
 
 
-@dataclass(frozen=True, slots=True)
-class PartialFunction:
+class PartialFunction(Value):
     """A partial Boolean function on [n]: disjoint (ones, zeros) subsets.
 
     The domain is ones | zeros; the function is total when the domain
     is all of [n].
     """
 
+    __slots__ = _fields = ("ones", "zeros")
     ones: Subset
     zeros: Subset
 
-    def __post_init__(self) -> None:
-        self.ones._check_mate(self.zeros)
-        if not self.ones.isdisjoint(self.zeros):
+    def __init__(self, ones: Subset, zeros: Subset) -> None:
+        ones._check_mate(zeros)
+        if ones.bits & zeros.bits:
             raise ValidationError("ones and zeros of a partial function must be disjoint")
+        _set(self, "ones", ones)
+        _set(self, "zeros", zeros)
 
     @property
     def n(self) -> int:
@@ -188,19 +242,21 @@ class PartialFunction:
         return self.ones.issubset(other.ones) and self.zeros.issubset(other.zeros)
 
 
-@dataclass(frozen=True, slots=True)
-class SquarefreeMonomial:
+class SquarefreeMonomial(Value):
     """A squarefree monomial in x(i,0), x(i,1) for i in [n].
 
     support0 holds the indices i with x(i,0) present, support1 those
     with x(i,1) present.
     """
 
+    __slots__ = _fields = ("support0", "support1")
     support0: Subset
     support1: Subset
 
-    def __post_init__(self) -> None:
-        self.support0._check_mate(self.support1)
+    def __init__(self, support0: Subset, support1: Subset) -> None:
+        support0._check_mate(support1)
+        _set(self, "support0", support0)
+        _set(self, "support1", support1)
 
     @property
     def n(self) -> int:
@@ -266,9 +322,9 @@ def monomial(a: Subset, b: Subset) -> SquarefreeMonomial:
     Its degree is n + |B \\ A|.
     """
     a._check_mate(b)
-    if not a.issubset(b):
+    if a.bits & ~b.bits:
         raise ValidationError("m(A, B) requires A to be a subset of B")
-    return SquarefreeMonomial(support0=b, support1=a.complement())
+    return SquarefreeMonomial(b, a.complement())
 
 
 def intersect(f: PartialFunction, g: PartialFunction) -> PartialFunction:

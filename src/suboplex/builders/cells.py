@@ -10,40 +10,40 @@ bit j of i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from ..bitsets import Subset, check_ground
+from ..bitsets import Subset, Value, check_ground
 from ..errors import CapExceededError, ValidationError
 from ..posets import SubsetPoset, intersection_closure
 
 CUBE_MAX_DIM = 4
 
 
-@dataclass(frozen=True)
-class CellComplexInput:
+class CellComplexInput(Value):
     """Vertex sets of the cells of a complex, as masks over the vertex range.
 
     List every face whose vertex set should appear in the poset; lower
     faces that arise as intersections of listed ones may be omitted.
     """
 
+    _fields = ("num_vertices", "faces")
     num_vertices: int
     faces: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        check_ground(self.num_vertices)
+    def __init__(self, num_vertices: int, faces: tuple[int, ...]) -> None:
+        check_ground(num_vertices)
         seen = set()
-        for f in self.faces:
-            if f <= 0 or f >> self.num_vertices:
+        for f in faces:
+            if f <= 0 or f >> num_vertices:
                 raise ValidationError(
-                    f"cell 0x{f:x} must be a nonempty subset of range({self.num_vertices})"
+                    f"cell 0x{f:x} must be a nonempty subset of range({num_vertices})"
                 )
             if f in seen:
                 raise ValidationError("cell complex faces must be distinct")
             seen.add(f)
-        if not self.faces:
+        if not faces:
             raise ValidationError("cell complex needs at least one face")
+        self._assign(num_vertices, faces)
 
     @classmethod
     def from_vertex_lists(cls, num_vertices: int, faces) -> "CellComplexInput":

@@ -17,10 +17,10 @@ variables for monotone kcnf and parity conjunctions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
+from ..bitsets import Value
 from ..classes import FunctionClass, class_from_poset
 from ..errors import CapExceededError, ValidationError
 from ..posets import SubsetPoset, intersection_closure
@@ -32,36 +32,37 @@ KCNF_MAX_VARIABLES = 4
 VARIANTS = ("kcnf", "monotone_kcnf", "csp", "parity_conj", "poly_conj")
 
 
-@dataclass(frozen=True)
-class FormulaClassSpec:
+class FormulaClassSpec(Value):
     """Which formula family to build: variant plus its parameters.
 
     ``k`` is the clause size bound (kcnf) or degree bound (poly_conj);
     ``generators`` are function supports as masks over [2^d] (csp).
     """
 
+    _fields = ("variant", "d", "k", "generators")
     variant: str
     d: int
-    k: int | None = None
-    generators: tuple[int, ...] | None = None
+    k: int | None
+    generators: tuple[int, ...] | None
 
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValidationError(
-                f"formula variant must be one of {VARIANTS}, got {self.variant!r}"
-            )
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValidationError(f"variable count d must be a positive integer, got {self.d!r}")
-        if self.variant in ("kcnf", "monotone_kcnf", "poly_conj"):
-            if not isinstance(self.k, int) or not 1 <= self.k <= self.d:
-                raise ValidationError(f"clause/degree bound k must satisfy 1 <= k <= d, got {self.k!r}")
-        if self.variant == "csp":
-            if self.generators is None:
+    def __init__(
+        self, variant: str, d: int, k: int | None = None, generators: tuple[int, ...] | None = None
+    ) -> None:
+        if variant not in VARIANTS:
+            raise ValidationError(f"formula variant must be one of {VARIANTS}, got {variant!r}")
+        if not isinstance(d, int) or d < 1:
+            raise ValidationError(f"variable count d must be a positive integer, got {d!r}")
+        if variant in ("kcnf", "monotone_kcnf", "poly_conj"):
+            if not isinstance(k, int) or not 1 <= k <= d:
+                raise ValidationError(f"clause/degree bound k must satisfy 1 <= k <= d, got {k!r}")
+        if variant == "csp":
+            if generators is None:
                 raise ValidationError("csp spec needs a generator set")
-            n = 1 << self.d
-            for g in self.generators:
+            n = 1 << d
+            for g in generators:
                 if not 0 <= g < (1 << n):
-                    raise ValidationError(f"csp generator 0x{g:x} is not a function on [2]^{self.d}")
+                    raise ValidationError(f"csp generator 0x{g:x} is not a function on [2]^{d}")
+        self._assign(variant, d, k, generators)
 
 
 def _clause_supports(d: int, k: int, monotone: bool) -> set[int]:

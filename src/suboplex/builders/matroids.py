@@ -110,7 +110,16 @@ class UniformMatroid(Matroid):
         if not 0 <= k <= m:
             raise ValidationError(f"uniform matroid needs 0 <= k <= m, got k={k}, m={m}")
         self.k = k
-        self.symmetry = [[1, 0, *range(2, m)], [*range(1, m), 0]] if m > 1 else []
+
+    @property
+    def symmetry(self) -> list[list[int]]:
+        """A transposition and an m-cycle, generating S_m.
+
+        Built on demand: they take O(m) memory, and ``flats`` reads them
+        only after its ground-size cap.
+        """
+        m = self.m
+        return [[1, 0, *range(2, m)], [*range(1, m), 0]] if m > 1 else []
 
     def _rank_mask(self, mask: int) -> int:
         return min(mask.bit_count(), self.k)
@@ -150,7 +159,11 @@ class LinearMatroid(Matroid):
 
 
 class GraphicMatroid(Matroid):
-    """Cycle matroid of a multigraph: rank of an edge set is |V touched| - #components."""
+    """Cycle matroid of a multigraph: rank of an edge set is |V touched| - #components.
+
+    Only vertices that some edge touches matter; they are numbered once,
+    so a rank call takes memory in the number of edges, not of vertices.
+    """
 
     def __init__(self, num_vertices: int, edges: list[tuple[int, int]]) -> None:
         super().__init__(len(edges))
@@ -159,9 +172,12 @@ class GraphicMatroid(Matroid):
                 raise ValidationError(f"edge ({u}, {v}) out of range({num_vertices})")
         self.num_vertices = num_vertices
         self.edges = tuple((int(u), int(v)) for u, v in edges)
+        touched = {x: i for i, x in enumerate(sorted({x for e in self.edges for x in e}))}
+        self._ends = tuple((touched[u], touched[v]) for u, v in self.edges)
+        self._touched = len(touched)
 
     def _rank_mask(self, mask: int) -> int:
-        parent = list(range(self.num_vertices))
+        parent = list(range(self._touched))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -172,7 +188,7 @@ class GraphicMatroid(Matroid):
         rank = 0
         for i in range(self.m):
             if mask >> i & 1:
-                a, b = map(find, self.edges[i])
+                a, b = map(find, self._ends[i])
                 if a != b:
                     parent[a] = b
                     rank += 1

@@ -12,10 +12,9 @@ off the ideal.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bitsets import PartialFunction, SquarefreeMonomial, Subset, check_ground
+from .bitsets import PartialFunction, SquarefreeMonomial, Subset, Value, check_ground
 from .errors import CapExceededError, ValidationError
 from .posets import SubsetPoset, and_closed
 from .complexes import SimplicialComplex  # kept after .posets: linalg first added 0.1 MB of RSS
@@ -252,8 +251,7 @@ def _generator_order(m: SquarefreeMonomial) -> tuple[int, int, int]:
     return (m.degree, m.support0.bits, m.support1.bits)
 
 
-@dataclass(frozen=True)
-class IdealGenerators:
+class IdealGenerators(Value):
     """A minimal generating antichain of a squarefree monomial ideal.
 
     ``minimal`` prunes generators divisible by another and sorts the
@@ -262,16 +260,18 @@ class IdealGenerators:
     which of their generators can divide another.
     """
 
+    _fields = ("n", "gens")
     n: int
     gens: tuple[SquarefreeMonomial, ...]
 
-    def __post_init__(self) -> None:
-        check_ground(self.n)
-        if not self.gens:
+    def __init__(self, n: int, gens: tuple[SquarefreeMonomial, ...]) -> None:
+        check_ground(n)
+        if not gens:
             raise ValidationError("an ideal needs at least one generator")
-        for g in self.gens:
-            if g.n != self.n:
+        for g in gens:
+            if g.n != n:
                 raise ValidationError("generator ground size mismatch")
+        self._assign(n, gens)
 
     @classmethod
     def minimal(cls, n: int, gens: Iterable[SquarefreeMonomial]) -> "IdealGenerators":

@@ -181,10 +181,12 @@ def _cmd_betti(args) -> int:
 def _cmd_mobius(args) -> int:
     poset = _as_poset(_load_input(args))
     if args.all:
-        for i, a in enumerate(poset.elements):
-            print(f"{a} {a} 1")
-            for j, _, _, mu, _ in poset.intervals_above(i):
-                print(f"{a} {poset.elements[j]} {mu}")
+        names = [str(e) for e in poset.elements]
+        lines = []
+        for i, a in enumerate(names):
+            lines.append(f"{a} {a} 1\n")
+            lines.extend(f"{a} {names[j]} {mu}\n" for j, _, _, mu, _ in poset.intervals_above(i))
+        sys.stdout.write("".join(lines))
         return 0
     bottom, top = poset.bottom(), poset.top()
     if bottom is None or top is None:

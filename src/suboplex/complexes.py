@@ -14,10 +14,9 @@ which matters over fields other than GF(2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
-from .bitsets import MAX_GROUND, _bits
+from .bitsets import MAX_GROUND, Value, _bits
 from .errors import CapExceededError, ValidationError
 from .linalg import GF2, FieldSpec, rank_from_columns
 from .posets import Interval, SubsetPoset
@@ -167,12 +166,18 @@ def reduced_euler_characteristic(k: SimplicialComplex) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
-    """Dimensions of reduced homology per degree, zeros omitted from storage."""
+class HomologyProfile(Value):
+    """Dimensions of reduced homology per degree, zeros omitted from storage.
 
-    nonzero: dict[int, int] = field(default_factory=dict)
-    complex_dim: int = -2
+    ``nonzero`` defaults to a new empty dict.
+    """
+
+    _fields = ("nonzero", "complex_dim")
+    nonzero: dict[int, int]
+    complex_dim: int
+
+    def __init__(self, nonzero: dict[int, int] | None = None, complex_dim: int = -2) -> None:
+        self._assign({} if nonzero is None else nonzero, complex_dim)
 
     def __getitem__(self, degree: int) -> int:
         return self.nonzero.get(degree, 0)

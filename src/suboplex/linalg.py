@@ -15,15 +15,15 @@ Over GF(2) a column is a Python int bit mask, reduced with XOR.  Over
 GF(p) and Q it is a ``{row: coefficient}`` dict, with coefficients
 reduced mod p or kept as ``fractions.Fraction``; pivots are stored
 scaled to a leading coefficient of 1.  Memory is proportional to the
-nonzeros, never to rows times columns.
+nonzeros, never to rows times columns.  ``fractions`` is imported by
+the first rank over Q, so other calls never load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .bitsets import Value
 from .errors import ValidationError
 
 SparseColumn = Iterable[tuple[int, int]]
@@ -44,15 +44,16 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class FieldSpec:
+class FieldSpec(Value):
     """A coefficient field: GF(p) for a prime p, or exact rationals (p=None)."""
 
-    p: int | None = 2
+    __slots__ = _fields = ("p",)
+    p: int | None
 
-    def __post_init__(self) -> None:
-        if self.p is not None and not _is_prime(self.p):
-            raise ValidationError(f"field characteristic must be prime, got {self.p}")
+    def __init__(self, p: int | None = 2) -> None:
+        if p is not None and not _is_prime(p):
+            raise ValidationError(f"field characteristic must be prime, got {p}")
+        self._assign(p)
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
@@ -98,6 +99,8 @@ def rank_from_columns(
                 v ^= u
         return len(bits)
 
+    if p is None:
+        from fractions import Fraction
     pivots: dict[int, dict[int, int | Fraction]] = {}
     for col in columns:
         v: dict[int, int | Fraction] = {}

@@ -21,10 +21,9 @@ restrictions ignore the symmetry; ``intervals`` still lists every pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Sequence
 
-from .bitsets import Subset, _bits, check_ground
+from .bitsets import Subset, Value, _bits, check_ground
 from .errors import CapExceededError, ValidationError
 
 # Four comparability tables of m^2 bits each: about 200 MB at the cap.
@@ -434,14 +433,17 @@ class SubsetPoset:
         return next(mu for j, _, _, mu, _ in rows if j == top)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Value):
     """A closed or open interval of a SubsetPoset, as a poset restriction."""
 
+    _fields = ("lo", "hi", "members", "is_open")
     lo: Subset
     hi: Subset
     members: SubsetPoset
-    is_open: bool = False
+    is_open: bool
+
+    def __init__(self, lo: Subset, hi: Subset, members: SubsetPoset, is_open: bool = False) -> None:
+        self._assign(lo, hi, members, is_open)
 
     def rank(self) -> int:
         if self.is_open:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 
@@ -5,6 +7,7 @@ import pytest
 
 from suboplex import (
     GF2,
+    BettiTable,
     FunctionClass,
     LabeledComplex,
     SimplicialComplex,
@@ -176,6 +179,24 @@ def label_acyclic(labeled: LabeledComplex, field=GF2, exhaustive: bool = False) 
     return True
 
 
+def chars(s: Subset) -> str:
+    return "".join("1" if i in s else "0" for i in range(s.n))
+
+
+def reference_json_entries(table: BettiTable) -> list[dict]:
+    """``json_entries`` through the set pair of each degree, one character at a time."""
+    out = []
+    for (i, m), v in table.entries.items():
+        if m.has_full_support:
+            a, b = m.set_pair()
+            degree = f"m({chars(a)},{chars(b)})"
+        else:
+            degree = str(m)
+        key = (i, m.degree, m.support0.bits, m.support1.bits)
+        out.append((key, {"i": i, "degree": degree, "value": v}))
+    return [entry for _, entry in sorted(out, key=lambda kv: kv[0])]
+
+
 def refuse_everywhere(monkeypatch, fn, replacement) -> None:
     """Replace every reference to ``fn`` that a loaded suboplex module holds."""
     for name, module in list(sys.modules.items()):
@@ -183,3 +204,45 @@ def refuse_everywhere(monkeypatch, fn, replacement) -> None:
             for key, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, key, replacement)
+
+
+def assert_value_type(cls, fields: dict, frozen: bool = True):
+    """Check that ``cls`` behaves as a dataclass over ``fields``, in order.
+
+    Keyword and positional construction agree and read the fields back;
+    instances equal only instances of the same class (not a subclass, not
+    the field tuple); ``hash`` is that of the field tuple, or raises
+    ``TypeError`` where a field (or the class) is unhashable; ``repr`` is
+    ``Name(field=value, ...)``; assignment raises ``AttributeError`` on a
+    frozen class and goes through otherwise.  Returns the instance.
+    """
+    names, values = list(fields), tuple(fields.values())
+    a, b = cls(**fields), cls(*values)
+    assert a == b and not a != b
+    assert [getattr(a, f) for f in names] == list(values)
+    assert a != values and a.__eq__(values) is NotImplemented
+
+    class Derived(cls):
+        __slots__ = ()
+
+    assert a != Derived(*values)
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    try:
+        expected = hash(values)
+    except TypeError:
+        expected = None
+    if expected is None or cls.__hash__ is None:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == expected
+    inner = ", ".join(f"{f}={v!r}" for f, v in fields.items())
+    assert repr(a) == f"{cls.__qualname__}({inner})"
+    if frozen:
+        for f in names:
+            with pytest.raises(AttributeError):
+                setattr(a, f, getattr(a, f))
+    else:
+        setattr(b, names[0], values[0])
+        assert a == b
+    return a

@@ -10,6 +10,8 @@ from bundled import (
     u11_u23_flats,
 )
 from conftest import (
+    assert_value_type,
+    reference_json_entries,
     interval_chains,
     label_acyclic,
     label_degrees,
@@ -23,7 +25,9 @@ from suboplex import (
     GF2,
     GF3,
     QQ,
+    BettiTable,
     CapExceededError,
+    LabeledComplex,
     SimplicialComplex,
     Subset,
     SubsetPoset,
@@ -43,6 +47,7 @@ from suboplex import (
     truncated_order_complex,
     verify_acyclic,
 )
+from suboplex.bitsets import SquarefreeMonomial
 from suboplex.betti import _hdim_of_poset
 from suboplex.builders import UniformMatroid, formula_class
 from suboplex.complexes import ChainHomology
@@ -494,6 +499,28 @@ class TestRender:
         entries = table.json_entries()
         assert {"i": 2, "degree": "m(0000,0111)", "value": 2} in entries
         assert all(set(e) == {"i", "degree", "value"} for e in entries)
+
+    def test_json_entries_match_a_reference(self, rng):
+        for _ in range(30):
+            table = betti_via_intervals(random_intersection_closed_poset(rng, max_n=6))
+            assert table.json_entries() == reference_json_entries(table)
+        m = SquarefreeMonomial(S("100"), S("010"))
+        table = BettiTable(3, {(0, m): 1, (1, monomial(S("000"), S("110"))): 2})
+        assert table.json_entries() == reference_json_entries(table)
+        assert table.json_entries()[0] == {"i": 0, "degree": "x0_0*x1_1", "value": 1}
+
+
+class TestValueTypes:
+    def test_betti_table(self):
+        entries = {(0, monomial(S("01"), S("01"))): 1}
+        table = assert_value_type(BettiTable, {"n": 2, "entries": entries}, frozen=False)
+        assert table != BettiTable(2, {})
+
+    def test_labeled_complex(self):
+        p = SubsetPoset.from_strings(["0", "1"])
+        labeled = cellular_resolution(p)
+        fields = {"poset": p, "complex": labeled.complex, "labels": labeled.labels}
+        assert labeled == assert_value_type(LabeledComplex, fields)
 
 
 class TestHomologicalDimension:

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import assert_value_type
 from suboplex import (
     PartialFunction,
     SquarefreeMonomial,
@@ -193,3 +194,49 @@ class TestDictionaryLaws:
     def test_partial_support_has_no_pair(self):
         with pytest.raises(ValidationError):
             SquarefreeMonomial(S("00"), S("10")).set_pair()
+
+
+class TestValueTypes:
+    def test_subset(self):
+        assert_value_type(Subset, {"n": 3, "bits": 5})
+        assert Subset(3, 5) != Subset(4, 5)
+
+    def test_partial_function(self):
+        assert_value_type(PartialFunction, {"ones": S("100"), "zeros": S("010")})
+
+    def test_squarefree_monomial(self):
+        assert_value_type(SquarefreeMonomial, {"support0": S("110"), "support1": S("011")})
+
+    def test_validation_messages(self):
+        with pytest.raises(ValidationError, match="ground size must be an integer, got True"):
+            Subset(True, 0)
+        with pytest.raises(ValidationError, match="ground size must be an integer, got 2.0"):
+            Subset(2.0, 0)
+        with pytest.raises(ValidationError, match=r"1 <= n <= 64, got 65"):
+            Subset(65, 0)
+        with pytest.raises(ValidationError, match="bit vector 0x4 out of range for ground size 2"):
+            Subset(2, 0b100)
+        with pytest.raises(ValidationError, match="bit vector 0x-1 out of range"):
+            Subset(2, -1)
+        with pytest.raises(ValidationError, match="mismatched ground sizes 2 and 3"):
+            PartialFunction(S("10"), S("001"))
+        with pytest.raises(ValidationError, match="must be disjoint"):
+            PartialFunction(S("10"), S("11"))
+        with pytest.raises(ValidationError, match="expected a Subset, got 3"):
+            SquarefreeMonomial(S("10"), 3)
+        with pytest.raises(ValidationError, match="mismatched ground sizes 2 and 3"):
+            SquarefreeMonomial(S("10"), S("001"))
+        with pytest.raises(ValidationError, match="mismatched ground sizes 2 and 3"):
+            monomial(S("10"), S("001"))
+        with pytest.raises(ValidationError, match=r"m\(A, B\) requires A to be a subset of B"):
+            monomial(S("11"), S("10"))
+
+
+class TestRendering:
+    def test_to_string_matches_a_character_loop(self, rng):
+        for n in (1, 2, 63, 64):
+            for bits in (0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(50))):
+                s = Subset(n, bits)
+                expected = "".join("1" if bits >> i & 1 else "0" for i in range(n))
+                assert s.to_string() == str(s) == expected
+                assert Subset.from_string(expected) == s

@@ -10,6 +10,7 @@ from bundled import (
     u11_u23_graph,
     u11_u23_matrix,
 )
+from conftest import assert_value_type
 from suboplex import (
     CapExceededError,
     Subset,
@@ -22,6 +23,7 @@ from suboplex import (
 from suboplex.builders import (
     CellComplexInput,
     FormulaClassSpec,
+    GraphicMatroid,
     LinearMatroid,
     UniformMatroid,
     cube_complex,
@@ -53,6 +55,14 @@ class TestMatroidRank:
     def test_graphic_triangle(self):
         m = u11_u23_graph()
         assert m.rank(S("0111")) == 2
+
+    def test_graphic_rank_ignores_vertex_labels(self):
+        spread = GraphicMatroid(1000, [(10, 20), (20, 30), (30, 10), (999, 40), (40, 40)])
+        compact = GraphicMatroid(5, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 4)])
+        assert [spread.rank_mask(a) for a in range(32)] == [compact.rank_mask(a) for a in range(32)]
+        assert spread.flats() == compact.flats()
+        with pytest.raises(ValidationError, match=r"edge \(0, 5\) out of range\(5\)"):
+            GraphicMatroid(5, [(0, 5)])
 
     def test_rank_axioms_spot_check(self, rng):
         for name, m in bundled_matroids().items():
@@ -198,6 +208,22 @@ class TestFacePoset:
         assert p.rank() == 3
         assert homological_dimension(class_from_poset(p)) == 3
 
+    def test_value_type(self):
+        x = assert_value_type(CellComplexInput, {"num_vertices": 2, "faces": (1, 3)})
+        assert x == CellComplexInput.from_vertex_lists(2, [[0], [0, 1]])
+
+    def test_validation_messages(self):
+        with pytest.raises(ValidationError, match=r"1 <= n <= 64, got 0"):
+            CellComplexInput(0, (1,))
+        with pytest.raises(ValidationError, match=r"cell 0x4 must be a nonempty subset of range\(2\)"):
+            CellComplexInput(2, (1, 4))
+        with pytest.raises(ValidationError, match=r"cell 0x0 must be a nonempty subset"):
+            CellComplexInput(2, (0,))
+        with pytest.raises(ValidationError, match="cell complex faces must be distinct"):
+            CellComplexInput(2, (1, 1))
+        with pytest.raises(ValidationError, match="cell complex needs at least one face"):
+            CellComplexInput(2, ())
+
     def test_cube_range(self):
         with pytest.raises(ValidationError):
             cube_complex(0)
@@ -254,6 +280,25 @@ class TestFormulaClasses:
             gens = tuple(rng.getrandbits(8) for _ in range(size))
             c, _ = formula_class(FormulaClassSpec("csp", 3, generators=gens))
             assert homological_dimension(c) <= size
+
+    def test_value_type(self):
+        fields = {"variant": "csp", "d": 2, "k": None, "generators": (3, 5)}
+        assert_value_type(FormulaClassSpec, fields)
+        spec = assert_value_type(FormulaClassSpec, {"variant": "kcnf", "d": 3, "k": 2, "generators": None})
+        assert spec == FormulaClassSpec("kcnf", 3, k=2)
+        assert FormulaClassSpec("parity_conj", 2) == FormulaClassSpec("parity_conj", 2, None, None)
+
+    def test_validation_messages(self):
+        with pytest.raises(ValidationError, match="formula variant must be one of"):
+            FormulaClassSpec("nonsense", 3)
+        with pytest.raises(ValidationError, match="variable count d must be a positive integer, got 0"):
+            FormulaClassSpec("kcnf", 0, k=1)
+        with pytest.raises(ValidationError, match=r"1 <= k <= d, got 4"):
+            FormulaClassSpec("kcnf", 3, k=4)
+        with pytest.raises(ValidationError, match="csp spec needs a generator set"):
+            FormulaClassSpec("csp", 2)
+        with pytest.raises(ValidationError, match=r"csp generator 0x10 is not a function on \[2\]\^2"):
+            FormulaClassSpec("csp", 2, generators=(16,))
 
     def test_validation(self):
         with pytest.raises(ValidationError):

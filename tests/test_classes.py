@@ -2,7 +2,7 @@ import pytest
 
 import suboplex.classes
 from bundled import delta_class, u11_u23_class
-from conftest import random_class, random_intersection_closed_poset
+from conftest import assert_value_type, random_class, random_intersection_closed_poset
 from suboplex import (
     CapExceededError,
     FunctionClass,
@@ -320,6 +320,21 @@ class TestSuboplexIdeal:
                 for j, h in enumerate(gens):
                     if i != j:
                         assert not g.divides(h)
+
+
+class TestIdealGeneratorsValueType:
+    def test_value_type(self):
+        gens = (SquarefreeMonomial(S("1"), S("1")),)
+        ideal = assert_value_type(IdealGenerators, {"n": 1, "gens": gens})
+        assert len(ideal) == 1 and list(ideal) == list(gens)
+
+    def test_validation_messages(self):
+        with pytest.raises(ValidationError, match=r"1 <= n <= 64, got 0"):
+            IdealGenerators(0, (SquarefreeMonomial.one(1),))
+        with pytest.raises(ValidationError, match="an ideal needs at least one generator"):
+            IdealGenerators(1, ())
+        with pytest.raises(ValidationError, match="generator ground size mismatch"):
+            IdealGenerators(2, (SquarefreeMonomial.one(1),))
 
 
 class TestIdealsWithoutPruning:

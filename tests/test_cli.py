@@ -10,8 +10,14 @@ import pytest
 
 import suboplex
 from bundled import U11_U23_BETTI_TEXT
-from conftest import RP2_FACETS, random_intersection_closed_poset, refuse_everywhere, rp2_with_top
-from suboplex import SubsetPoset
+from conftest import (
+    RP2_FACETS,
+    random_intersection_closed_poset,
+    reference_json_entries,
+    refuse_everywhere,
+    rp2_with_top,
+)
+from suboplex import SubsetPoset, betti_via_intervals
 from suboplex.cli import main
 from suboplex.complexes import ChainHomology
 from suboplex.io import poset_to_json
@@ -299,6 +305,25 @@ class TestCheck:
         ]
 
 
+class TestMatroidSizes:
+    def test_huge_uniform_matroid_is_capped_within_a_gib(self):
+        out = run_child_within_a_gib("build", "--build", 'matroid:{"type":"uniform","k":1,"m":100000000}')
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.splitlines() == [
+            "error: flat enumeration is capped at ground size 16, got 100000000"
+        ]
+
+    def test_graphic_matroid_with_many_vertices_builds_within_a_gib(self):
+        outputs = []
+        for vertices, edges in ((100_000_000, [[0, 1]]), (100_000_000, [[99_999_999, 5]]), (2, [[0, 1]])):
+            spec = "matroid:" + json.dumps({"type": "graphic", "vertices": vertices, "edges": edges})
+            out = run_child_within_a_gib("build", "--build", spec)
+            assert (out.returncode, out.stderr) == (0, ""), out.stderr
+            outputs.append(out.stdout)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0])["elements"] == ["0", "1"]
+
+
 class TestOtherVerbs:
     def test_mobius_bounded(self, capsys, flag_poset_file):
         code, out, _ = run(capsys, "mobius", "--input", flag_poset_file)
@@ -318,6 +343,17 @@ class TestOtherVerbs:
         path.write_text(json.dumps({"n": p.n, "elements": [str(e) for e in p.elements]}))
         code, out, _ = run(capsys, "mobius", "--all", "--input", str(path))
         assert code == 0 and out.splitlines() == pairwise_mobius_lines(p)
+
+    def test_rendering_matches_references_on_random_posets(self, capsys, tmp_path, rng):
+        path = tmp_path / "poset.json"
+        for _ in range(25):
+            p = random_intersection_closed_poset(rng, max_n=6)
+            path.write_text(json.dumps(poset_to_json(p)))
+            code, out, _ = run(capsys, "mobius", "--all", "--input", str(path))
+            assert code == 0 and out.splitlines() == pairwise_mobius_lines(p)
+            code, out, _ = run(capsys, "betti", "--format", "json", "--input", str(path))
+            expected = {"entries": reference_json_entries(betti_via_intervals(p))}
+            assert code == 0 and out == json.dumps(expected)
 
     def test_extentures(self, capsys):
         code, out, _ = run(
@@ -595,6 +631,27 @@ def test_import_does_not_load_numpy():
         capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
+
+
+def test_import_loads_no_dataclasses_or_fractions():
+    """A call pays only for what it uses: ``fractions`` loads once a Q rank runs."""
+    src = str(Path(suboplex.__file__).resolve().parent.parent)
+    code = f"""
+import sys
+import suboplex.cli
+print(sorted({{"dataclasses", "inspect", "fractions", "decimal"}} & set(sys.modules)))
+code = suboplex.cli.main(["betti", "--build", {U11_U23_BUILD!r}, "--field", "Q"])
+print("fractions" in sys.modules, code)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert "\n".join(lines[1:-1]) == U11_U23_BETTI_TEXT
+    assert lines[-1] == "True 0"
 
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from bundled import bowtie_poset, u11_u23_flats
 from conftest import (
+    assert_value_type,
     RP2_FACETS,
     random_class,
     random_complex,
@@ -16,6 +17,7 @@ from suboplex import (
     GF3,
     QQ,
     CapExceededError,
+    HomologyProfile,
     SimplicialComplex,
     Subset,
     SubsetPoset,
@@ -517,3 +519,12 @@ class TestCrosscutFaces:
                     assert _crosscut_faces(verts, bounds, interior, len(flat) - 1) is None
                     sizes.add(max(f.bit_count() for f in flat) - 1)
         assert {0, 1, 2} <= sizes
+
+
+class TestHomologyProfileValueType:
+    def test_value_type(self):
+        h = assert_value_type(HomologyProfile, {"nonzero": {1: 2}, "complex_dim": 3})
+        assert h[1] == 2 and h[0] == 0 and h.render() == "H~[-1..3] = [0, 0, 2, 0, 0]"
+        assert HomologyProfile() == HomologyProfile({}, -2)
+        assert HomologyProfile().nonzero is not HomologyProfile().nonzero
+        assert reduced_homology(SimplicialComplex.null()) == HomologyProfile()

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import suboplex
+from conftest import assert_value_type
 from suboplex.linalg import GF2, GF3, QQ, FieldSpec, ValidationError, rank_from_columns
 
 GF5 = FieldSpec(5)
@@ -71,6 +72,15 @@ class TestFieldSpec:
         with pytest.raises(ValidationError):
             FieldSpec.parse("4")
         with pytest.raises(ValidationError):
+            FieldSpec.parse("x")
+
+    def test_value_type(self):
+        assert_value_type(FieldSpec, {"p": 3})
+        assert_value_type(FieldSpec, {"p": None})
+        assert FieldSpec() == GF2 and FieldSpec(None) == QQ and GF2 != GF3
+        with pytest.raises(ValidationError, match="field characteristic must be prime, got 4"):
+            FieldSpec(4)
+        with pytest.raises(ValidationError, match="field must be a prime or 'Q', got 'x'"):
             FieldSpec.parse("x")
 
 

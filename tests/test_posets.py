@@ -3,6 +3,7 @@ import pytest
 import suboplex.posets
 from bundled import bowtie_poset, u11_u23_flats
 from conftest import (
+    assert_value_type,
     frontier_closure,
     interval_chains,
     random_intersection_closed_poset,
@@ -10,6 +11,7 @@ from conftest import (
 )
 from suboplex import (
     CapExceededError,
+    Interval,
     Subset,
     SubsetPoset,
     ValidationError,
@@ -291,6 +293,14 @@ class TestInterval:
         p = u11_u23_flats()
         iv = p.interval(S("0000"), S("1000"), open=True)
         assert len(iv.members) == 0
+
+    def test_value_type(self):
+        p = u11_u23_flats()
+        iv = p.interval(S("0000"), S("0111"))
+        fields = {"lo": S("0000"), "hi": S("0111"), "members": iv.members, "is_open": False}
+        assert assert_value_type(Interval, fields) == iv
+        assert Interval(S("0000"), S("0111"), iv.members) == iv
+        assert iv != p.interval(S("0000"), S("0111"), open=True)
 
     def test_non_nested_rejected(self):
         p = u11_u23_flats()

@@ -32,7 +32,9 @@ starts passes only from element-orbit representatives.
 
 from __future__ import annotations
 
-from .bitsets import SquarefreeMonomial, Value, mask_string, monomial
+from collections.abc import Iterator, Mapping, MutableMapping
+
+from .bitsets import SquarefreeMonomial, Subset, Value, mask_string, monomial
 from .classes import FunctionClass, dual_ideal
 from .complexes import (
     SimplicialComplex,
@@ -49,45 +51,112 @@ EXHAUSTIVE_ACYCLICITY_MAX_GROUND = 6
 ACYCLICITY_MAX_FACES = 10**6
 
 
+def _cell(key: tuple[int, SquarefreeMonomial]) -> tuple[int, int, int]:
+    try:
+        i, m = key
+        return i, m.support0.bits, m.support1.bits
+    except (TypeError, ValueError, AttributeError):
+        raise KeyError(key) from None
+
+
+class _Entries(MutableMapping):
+    """A ``BettiTable``'s cells seen through ``(i, SquarefreeMonomial)`` keys;
+    reads build the monomials, writes go to the cells."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: "BettiTable") -> None:
+        self._table = table
+
+    def __getitem__(self, key: tuple[int, SquarefreeMonomial]) -> int:
+        return self._table.cells[_cell(key)]
+
+    def __setitem__(self, key: tuple[int, SquarefreeMonomial], value: int) -> None:
+        self._table.cells[_cell(key)] = value
+
+    def __delitem__(self, key: tuple[int, SquarefreeMonomial]) -> None:
+        del self._table.cells[_cell(key)]
+
+    def __iter__(self) -> Iterator[tuple[int, SquarefreeMonomial]]:
+        n = self._table.n
+        for i, s0, s1 in self._table.cells:
+            yield i, SquarefreeMonomial(Subset(n, s0), Subset(n, s1))
+
+    def __len__(self) -> int:
+        return len(self._table.cells)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 class BettiTable(Value):
     """Multigraded Betti numbers: (homological index, multidegree) -> value.
 
-    Only nonzero entries are stored.  Rendering and Z-graded
-    aggregation reconstruct the rectangular shape.  Unlike the other
-    value types it is mutable and so unhashable.
+    Only nonzero entries are stored, as ``cells``: (i, support0 mask,
+    support1 mask) -> value, so beta_{i, m(A, B)} sits at (i, B, [n] \\ A).
+    ``entries`` and ``get`` speak in ``SquarefreeMonomial`` keys: ``entries``
+    is a mapping over the cells that builds its keys on demand and writes
+    through.  Rendering and Z-graded aggregation reconstruct the
+    rectangular shape.  Unlike the other value types it is mutable and so
+    unhashable.
     """
 
     _fields = ("n", "entries")
     n: int
-    entries: dict[tuple[int, SquarefreeMonomial], int]
+    cells: dict[tuple[int, int, int], int]
     __hash__ = None  # type: ignore[assignment]
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
 
-    def __init__(self, n: int, entries: dict[tuple[int, SquarefreeMonomial], int]) -> None:
+    def __init__(self, n: int, entries: Mapping[tuple[int, SquarefreeMonomial], int]) -> None:
         self.n = n
         self.entries = entries
 
+    @classmethod
+    def from_cells(cls, n: int, cells: dict[tuple[int, int, int], int]) -> "BettiTable":
+        table = cls.__new__(cls)
+        table.n, table.cells = n, cells
+        return table
+
+    @property
+    def entries(self) -> _Entries:
+        return _Entries(self)
+
+    @entries.setter
+    def entries(self, entries: Mapping[tuple[int, SquarefreeMonomial], int]) -> None:
+        self.cells = {_cell(key): v for key, v in entries.items()}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.cells == other.cells
+
+    def __reduce__(self):
+        return type(self).from_cells, (self.n, self.cells)
+
     def get(self, i: int, m: SquarefreeMonomial) -> int:
-        return self.entries.get((i, m), 0)
+        return self.cells.get((i, m.support0.bits, m.support1.bits), 0)
 
     @property
     def projective_dimension(self) -> int:
-        if not self.entries:
+        if not self.cells:
             raise ValidationError("empty Betti table has no projective dimension")
-        return max(i for i, _ in self.entries)
+        return max(i for i, _, _ in self.cells)
 
     def total(self, i: int) -> int:
-        return sum(v for (j, _), v in self.entries.items() if j == i)
+        return sum(v for (j, _, _), v in self.cells.items() if j == i)
 
     def totals(self) -> list[int]:
-        return [self.total(i) for i in range(self.projective_dimension + 1)]
+        out = [0] * (self.projective_dimension + 1)
+        for (i, _, _), v in self.cells.items():
+            out[i] += v
+        return out
 
     def z_graded(self) -> dict[tuple[int, int], int]:
         """Collapse multidegrees to total degree: (i, j) -> sum of entries."""
         out: dict[tuple[int, int], int] = {}
-        for (i, m), v in self.entries.items():
-            key = (i, m.degree)
+        for (i, s0, s1), v in self.cells.items():
+            key = (i, s0.bit_count() + s1.bit_count())
             out[key] = out.get(key, 0) + v
         return out
 
@@ -98,27 +167,31 @@ class BettiTable(Value):
         homological index i; zeros print as '.'.
         """
         graded = self.z_graded()
-        pd = self.projective_dimension
+        totals = self.totals()
         offsets = [j - i for (i, j) in graded]
-        lines = ["total: " + " ".join(str(self.total(i)) for i in range(pd + 1))]
+        lines = ["total: " + " ".join(map(str, totals))]
         for r in range(min(offsets), max(offsets) + 1):
-            cells = [graded.get((i, i + r), 0) for i in range(pd + 1)]
-            lines.append(f"{r}: " + " ".join(str(v) if v else "." for v in cells))
+            row = [graded.get((i, i + r), 0) for i in range(len(totals))]
+            lines.append(f"{r}: " + " ".join(str(v) if v else "." for v in row))
         return "\n".join(lines)
 
     def json_entries(self) -> list[dict]:
-        """Entries by (i, degree, support masks); m(A, B) is written from the masks."""
-        n = self.n
-        rows = []
-        for (i, m), v in self.entries.items():
-            s0, s1 = m.support0.bits, m.support1.bits
-            if m.has_full_support:
-                text = f"m({mask_string(n, ~s1 & (1 << n) - 1)},{mask_string(n, s0)})"
+        """Entries by (i, degree, support masks); m(A, B) is written from the masks,
+        each distinct mask's string rendered once."""
+        n, full = self.n, (1 << self.n) - 1
+        rows = sorted(
+            (i, s0.bit_count() + s1.bit_count(), s0, s1, v) for (i, s0, s1), v in self.cells.items()
+        )
+        ends = {s0 for _, _, s0, _, _ in rows} | {full & ~s1 for _, _, _, s1, _ in rows}
+        names = {m: mask_string(n, m) for m in ends}
+        out = []
+        for i, _, s0, s1, v in rows:
+            if s0 | s1 == full:
+                degree = f"m({names[full & ~s1]},{names[s0]})"
             else:
-                text = str(m)
-            rows.append((i, s0.bit_count() + s1.bit_count(), s0, s1, text, v))
-        rows.sort()
-        return [{"i": i, "degree": text, "value": v} for i, _, _, _, text, v in rows]
+                degree = str(SquarefreeMonomial(Subset(n, s0), Subset(n, s1)))
+            out.append({"i": i, "degree": degree, "value": v})
+        return out
 
 
 class LabeledComplex(Value):
@@ -198,6 +271,14 @@ def verify_acyclic(p: SubsetPoset, fieldspec: FieldSpec = GF2, exhaustive: bool 
     return True
 
 
+def _member_cells(p: SubsetPoset) -> tuple[list[int], dict[tuple[int, int, int], int]]:
+    """The mask of [n] \\ A for each member A, and the ``BettiTable`` cells of
+    beta_0: one generator m(A, A) per member."""
+    full = (1 << p.n) - 1
+    outside = [full ^ m for m in p._masks]
+    return outside, {(0, m, c): 1 for m, c in zip(p._masks, outside)}
+
+
 def betti_via_intervals(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTable:
     """Multigraded Betti numbers of the dual ideal from interval homology.
 
@@ -209,18 +290,16 @@ def betti_via_intervals(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTabl
     """
     if not p.is_intersection_closed():
         raise ValidationError("interval Betti numbers require an intersection-closed poset")
-    entries: dict[tuple[int, SquarefreeMonomial], int] = {}
-    els = p.elements
-    for a in els:
-        entries[(0, monomial(a, a))] = 1
+    masks = p._masks
+    outside, cells = _member_cells(p)
     for (i, j, rank, _, _, chains), pairs in p.interval_orbits():
         chain = interval_homology(p, i, j, chains, fieldspec)
         for d in range(-1, rank - 1):
             v = chain.betti(d)
             if v:
                 for a, b in pairs:
-                    entries[(d + 2, monomial(els[a], els[b]))] = v
-    return BettiTable(n=p.n, entries=entries)
+                    cells[(d + 2, masks[b], outside[a])] = v
+    return BettiTable.from_cells(p.n, cells)
 
 
 def betti_via_mobius(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTable:
@@ -234,17 +313,16 @@ def betti_via_mobius(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTable:
     """
     if not p.is_intersection_closed():
         raise ValidationError("Moebius Betti numbers require an intersection-closed poset")
-    entries: dict[tuple[int, SquarefreeMonomial], int] = {}
-    for a in p.elements:
-        entries[(0, monomial(a, a))] = 1
+    masks = p._masks
+    outside, cells = _member_cells(p)
     for row, pairs in p.interval_orbits():
         if not interval_is_cm(p, row, fieldspec):
             raise ValidationError("Moebius Betti numbers require an interval Cohen-Macaulay poset")
         _, _, rank, _, mu, _ = row
         if mu:
             for a, b in pairs:
-                entries[(rank, monomial(p.elements[a], p.elements[b]))] = abs(mu)
-    return BettiTable(n=p.n, entries=entries)
+                cells[(rank, masks[b], outside[a])] = abs(mu)
+    return BettiTable.from_cells(p.n, cells)
 
 
 def _hdim_of_poset(p: SubsetPoset, fieldspec: FieldSpec) -> int:

@@ -3,8 +3,9 @@
 Supported constructions: uniform matroids, linear matroids over a
 prime field (columns of a matrix are the ground elements), graphic
 matroids (cycle matroids of edge lists), and direct sums.  Flats are
-enumerated level by level through closures; a minor keeps a reference
-to the base matroid and shifts its rank function.
+enumerated level by level, one closure per cover, and a linear
+matroid's closure or covers take one row elimination; a minor keeps a
+reference to the base matroid and shifts its rank function.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence
 
 from ..bitsets import Subset
 from ..errors import CapExceededError, ValidationError
-from ..linalg import FieldSpec, rank_from_columns
+from ..linalg import FieldSpec, pivot_bits, pivot_columns, rank_from_columns
 from ..posets import SubsetPoset, check_members
 
 FLATS_MAX_GROUND = 16
@@ -76,27 +77,39 @@ class Matroid:
         return self.closure_mask(mask) == mask
 
     def flats(self) -> SubsetPoset:
-        """The lattice of flats, built level-by-level from the bottom flat."""
+        """The lattice of flats, built level by level from the bottom flat
+        through ``_cover_masks``."""
         if self.m > FLATS_MAX_GROUND:
             raise CapExceededError(
                 f"flat enumeration is capped at ground size {FLATS_MAX_GROUND}, got {self.m}"
             )
         bottom = self.closure_mask(0)
         collected = {bottom}
-        frontier = {bottom}
+        frontier = [bottom]
         while frontier:
-            fresh: set[int] = set()
+            fresh = []
             for f in frontier:
-                for e in range(self.m):
-                    if f >> e & 1:
-                        continue
-                    g = self.closure_mask(f | (1 << e))
-                    if g not in collected and g not in fresh:
-                        fresh.add(g)
-            collected |= fresh
+                for g in self._cover_masks(f):
+                    if g not in collected:
+                        collected.add(g)
+                        fresh.append(g)
             check_members(len(collected), "flat enumeration")
             frontier = fresh
         return SubsetPoset.from_masks(self.m, collected, self.symmetry)
+
+    def _cover_masks(self, f: int) -> list[int]:
+        """The flats covering the flat ``f``.
+
+        They partition the elements outside ``f`` (Oxley, *Matroid Theory*,
+        section 1.4), so each takes one closure, of its lowest element
+        left, and clears all of its elements.
+        """
+        covers, rest = [], (1 << self.m) - 1 ^ f
+        while rest:
+            g = self.closure_mask(f | rest & -rest)
+            covers.append(g)
+            rest &= ~g
+        return covers
 
     def minor(self, f: Subset, g: Subset) -> "MinorMatroid":
         return MinorMatroid(self, f, g)
@@ -142,6 +155,10 @@ class LinearMatroid(Matroid):
         self.p = p
         self.columns = tuple(tuple(int(x) % p for x in c) for c in columns)
         self._sparse = tuple([(r, x) for r, x in enumerate(c) if x] for c in self.columns)
+        self._rows = tuple(
+            [(e, c[r]) for e, c in enumerate(self.columns) if c[r]] for r in range(heights.pop())
+        )
+        self._row_bits = tuple(sum(1 << e for e, _ in row) for row in self._rows)
 
     @classmethod
     def from_rows(cls, p: int, rows: list[list[int]]) -> "LinearMatroid":
@@ -156,6 +173,51 @@ class LinearMatroid(Matroid):
     def _rank_mask(self, mask: int) -> int:
         chosen = [self._sparse[i] for i in range(self.m) if mask >> i & 1]
         return rank_from_columns(chosen, len(self.columns[0]), self.field)
+
+    def _quotient_rows(self, mask: int) -> list:
+        """Reduced rows that vanish on the columns of ``mask`` and span every
+        row vector that does.
+
+        Row operations keep every linear relation among the columns.  So the
+        rows are reduced with the coordinates of ``mask`` ordered above all
+        others, and the pivots whose top lies outside ``mask`` are these.
+        Over GF(2) a row is a bit mask over the columns, otherwise a
+        ``{column: coefficient}`` dict.
+        """
+        m = self.m
+        if self.p == 2:
+            pivots = pivot_bits([r & ~mask | (r & mask) << m for r in self._row_bits])
+        else:
+            shifted = [[(e + m if mask >> e & 1 else e, x) for e, x in row] for row in self._rows]
+            pivots = pivot_columns(shifted, self.field)
+        return [u for top, u in pivots.items() if top < m]
+
+    def closure_mask(self, mask: int) -> int:
+        """The columns in the span of those in ``mask``, from one elimination:
+        those on which every row of ``_quotient_rows(mask)`` vanishes."""
+        loose = 0
+        for u in self._quotient_rows(mask):
+            loose |= u if self.p == 2 else sum(1 << e for e in u)
+        return (1 << self.m) - 1 ^ loose
+
+    def _cover_masks(self, f: int) -> list[int]:
+        """Over GF(2), the covers of the flat ``f`` from one elimination.
+
+        A column's image in the quotient by the span of ``f`` is its column
+        in ``_quotient_rows(f)``.  Each cover adds to ``f`` one class of
+        columns with the same nonzero image, found by splitting the columns
+        on each row in turn.  Over other fields, one closure per cover.
+        """
+        if self.p != 2:
+            return super()._cover_masks(f)
+        rows = self._quotient_rows(f)
+        loose = 0
+        for u in rows:
+            loose |= u
+        classes = [loose] if loose else []
+        for u in rows:
+            classes = [part for c in classes for part in (c & u, c & ~u) if part]
+        return [f | c for c in classes]
 
 
 class GraphicMatroid(Matroid):

@@ -4,8 +4,9 @@ A ``SubsetPoset`` is a finite family of distinct subsets with the
 induced inclusion order.  Elements are kept in a canonical linear
 extension (by cardinality, then by bit value), which downstream code
 relies on: in any stored chain the element of smallest index is the
-minimum.  Cover relations are found eagerly by transitive reduction of
-the comparability masks.  Every interval invariant (rank, gradedness,
+minimum.  The comparability masks are built by transposing the
+members' bits, and the covers of each element by a walk of the members
+above it; both eagerly.  Every interval invariant (rank, gradedness,
 Moebius value, chain count of the open part) comes from one pass per
 bottom element along the linear extension, ``intervals_above``.
 
@@ -60,6 +61,50 @@ def and_closed(masks: Sequence[int], members: Container[int], firsts: Iterable[i
     return True
 
 
+def _comparability(n: int, order: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Strict up and down index masks of the members ``order``, by transposition.
+
+    ``contains[v]``, the index mask of the members holding ground element
+    v, is read off one column of the members' bit strings.  The members
+    above e_i lie in ``contains[v]`` for every v in e_i, and those below
+    it lie outside ``contains[v]`` for every v not in e_i.
+    """
+    everyone = (1 << len(order)) - 1
+    rows = [format(m, f"0{n}b") for m in reversed(order)]
+    contains = [int("".join(col), 2) for col in zip(*rows)][::-1] or [0] * n
+    missing = [everyone ^ c for c in contains]
+    up, down = [], []
+    for i, m in enumerate(order):
+        above = below = everyone ^ 1 << i
+        for v in range(n):
+            if m >> v & 1:
+                above &= contains[v]
+            else:
+                below &= missing[v]
+        up.append(above)
+        down.append(below)
+    return up, down
+
+
+def _covers(up: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Upper and lower cover masks from the strict up masks, in a linear extension.
+
+    The lowest index left in ``up[i]`` is minimal there, so a cover of e_i:
+    keep it, then clear it and everything above it.
+    """
+    covers_up, covers_down = [], [0] * len(up)
+    for i, rest in enumerate(up):
+        covers, bit = 0, 1 << i
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            covers |= low
+            covers_down[j] |= bit
+            rest &= ~(up[j] | low)
+        covers_up.append(covers)
+    return covers_up, covers_down
+
+
 class SubsetPoset:
     """A family of distinct subsets of [n] under the induced inclusion order."""
 
@@ -98,30 +143,8 @@ class SubsetPoset:
         self._masks: tuple[int, ...] = tuple(order)
         self.elements: tuple[Subset, ...] = tuple(Subset(n, m) for m in order)
         self._index = {m: i for i, m in enumerate(order)}
-        size = len(order)
-        up = [0] * size
-        down = [0] * size
-        for i in range(size):
-            mi = order[i]
-            for j in range(i + 1, size):
-                if mi & order[j] == mi:
-                    up[i] |= 1 << j
-                    down[j] |= 1 << i
-        self._up_strict = up
-        self._down_strict = down
-        covers = [0] * size
-        covers_down = [0] * size
-        for i in range(size):
-            rest = up[i]
-            while rest:
-                j = rest.bit_length() - 1
-                bit = 1 << j
-                rest ^= bit
-                if up[i] & down[j] == 0:
-                    covers[i] |= bit
-                    covers_down[j] |= 1 << i
-        self._covers_up = covers
-        self._covers_down = covers_down
+        self._up_strict, self._down_strict = _comparability(n, order)
+        self._covers_up, self._covers_down = _covers(self._up_strict)
         self._intersection_closed: bool | None = None
         self.symmetry = tuple(tuple(g) for g in symmetry)
         self._automorphisms = tuple(self._index_map(k, g) for k, g in enumerate(self.symmetry))

@@ -1,3 +1,5 @@
+import json
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -11,6 +13,7 @@ from bundled import (
     u11_u23_matrix,
 )
 from conftest import assert_value_type
+from references import reference_flats
 from suboplex import (
     CapExceededError,
     Subset,
@@ -25,12 +28,14 @@ from suboplex.builders import (
     FormulaClassSpec,
     GraphicMatroid,
     LinearMatroid,
+    Matroid,
     UniformMatroid,
     cube_complex,
     face_poset,
     formula_class,
     simplex_input,
 )
+from suboplex.io import matroid_from_json
 
 
 def S(s: str) -> Subset:
@@ -130,6 +135,87 @@ class TestLatticeOfFlats:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             UniformMatroid(2, 17).flats()
+
+
+def formula_matroid(variant: str, d: int, k: int | None = None) -> LinearMatroid:
+    """The GF(2) column matroid whose flats ``formula_class`` takes for a
+    ``parity_conj`` or ``poly_conj`` spec: column v evaluates every
+    parity (or monomial of degree at most k) at the point v of {0,1}^d."""
+    if variant == "parity_conj":
+        return LinearMatroid(2, [tuple(v >> j & 1 for j in range(d)) for v in range(1 << d)])
+    sets = [u for size in range(k + 1) for u in combinations(range(d), size)]
+    return LinearMatroid(
+        2, [tuple(int(all(v >> j & 1 for j in u)) for u in sets) for v in range(1 << d)]
+    )
+
+
+def spec_matroids() -> dict[str, object]:
+    """Every matroid the tests build, and the column matroids of the
+    parity and polynomial formula specs up to d = 4."""
+    out: dict[str, object] = dict(bundled_matroids())
+    for spec in (
+        {"type": "uniform", "k": 4, "m": 7},
+        {"type": "uniform", "k": 5, "m": 8},
+        {"type": "uniform", "k": 1, "m": 16},
+        {"type": "linear", "p": 2, "matrix": [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 1]]},
+        {"type": "linear", "p": 3, "matrix": [[1, 0, 1, 1], [0, 1, 1, 2]]},
+        {"type": "graphic", "vertices": 4, "edges": [[2, 3], [0, 1], [1, 2], [0, 2]]},
+        {"type": "graphic", "vertices": 3, "edges": [[0, 1], [0, 1], [1, 1], [1, 2]]},
+    ):
+        out[json.dumps(spec)] = matroid_from_json(spec)
+    for d in (1, 2, 3, 4):
+        out[f"parity_conj({d})"] = formula_matroid("parity_conj", d)
+        # d = 4 with k >= 2 only runs into the member cap
+        for k in range(min(d, 1 if d == 4 else 3) + 1):
+            out[f"poly_conj({d},{k})"] = formula_matroid("poly_conj", d, k)
+    flagship = u11_u23_direct_sum()
+    out["minor"] = flagship.minor(S("0000"), S("0111"))
+    return out
+
+
+def random_linear_matroid(rng, p: int) -> LinearMatroid:
+    rows, m = rng.randint(1, 4), rng.randint(1, 9)
+    return LinearMatroid(p, [tuple(rng.randrange(p) for _ in range(rows)) for _ in range(m)])
+
+
+def flats_outcome(m) -> object:
+    try:
+        return set(m.flats()._masks)
+    except CapExceededError as e:
+        return str(e)
+
+
+def reference_outcome(m) -> object:
+    try:
+        return reference_flats(m)
+    except CapExceededError as e:
+        return str(e)
+
+
+class TestFlatsByCovers:
+    @pytest.mark.parametrize("name", sorted(spec_matroids()))
+    def test_matches_the_level_loop(self, name):
+        m = spec_matroids()[name]
+        assert flats_outcome(m) == reference_outcome(m)
+
+    def test_formula_posets_are_these_flats(self):
+        for variant, d, k in (("parity_conj", 4, None), ("poly_conj", 3, 2), ("poly_conj", 4, 1)):
+            poset = formula_class(FormulaClassSpec(variant, d, k=k))[1]
+            assert set(poset._masks) == reference_flats(formula_matroid(variant, d, k))
+
+    def test_random_linear_matroids(self, rng):
+        for p in (2, 3):
+            for _ in range(60):
+                m = random_linear_matroid(rng, p)
+                assert set(m.flats()._masks) == reference_flats(m)
+                for mask in {0, (1 << m.m) - 1, *(rng.getrandbits(m.m) for _ in range(8))}:
+                    assert m.closure_mask(mask) == Matroid.closure_mask(m, mask)
+
+    def test_linear_closure_takes_no_rank(self, monkeypatch):
+        m = formula_matroid("parity_conj", 3)
+        monkeypatch.setattr(m, "_rank_mask", None)  # never reached
+        assert m.closure_mask(0b0000_0110) == 0b0000_1111  # column 0 is zero
+        assert len(m.flats()) == 16
 
 
 class TestMinor:

@@ -1,7 +1,14 @@
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import suboplex
 import suboplex.builders
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # Adding or removing an export must show up as a diff of these lists.
 
@@ -135,3 +142,31 @@ def test_every_traced_name_resolves():
             assert method in vars(getattr(module, cls_name)), (module_name, attr)
         else:
             assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+def child(*args: str, cwd: Path = ROOT) -> str:
+    """stdout of a fresh interpreter that imports this checkout's ``suboplex``."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
+# The tracer installs its wrappers right after ``import suboplex.cli`` and
+# skips a name whose module is not loaded by then, so a module that the
+# CLI imported only on demand would silently lose its per-layer metrics.
+def test_cli_import_loads_every_traced_module():
+    modules = sorted({module for module, _ in TRACED_NAMES})
+    code = f"import sys, suboplex.cli; print(*[m for m in {modules!r} if m not in sys.modules])"
+    assert child("-c", code).split() == []
+
+
+def test_tracer_installs_every_name_a_metric_needs(tmp_path):
+    spans = tmp_path / "spans.json"
+    child(str(ROOT / "perfbench" / "tracer.py"), str(spans), "betti", "--build", 'cube:{"d":2}')
+    installed = set(json.loads(spans.read_text())["installed"])
+    code = "import json, layers; print(json.dumps([row[-1] for row in layers.PER_LAYER]))"
+    needs = {name for name in json.loads(child("-c", code, cwd=ROOT / "perfbench")) if name}
+    assert needs and needs <= installed, sorted(needs - installed)

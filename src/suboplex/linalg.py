@@ -23,7 +23,7 @@ the first rank over Q, so other calls never load it.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bitsets import Value
 from .errors import ValidationError
@@ -95,14 +95,7 @@ def pivot_columns(columns: Iterable[SparseColumn], field: FieldSpec) -> dict:
     """
     p = field.p
     if p == 2:
-        vectors = []
-        for col in columns:
-            v = 0
-            for r, c in col:
-                if c & 1:
-                    v ^= 1 << r
-            vectors.append(v)
-        return pivot_bits(vectors)
+        return pivot_bits(_gf2_bits(columns))
 
     if p is None:
         from fractions import Fraction
@@ -150,3 +143,14 @@ def pivot_bits(vectors: Iterable[int]) -> dict[int, int]:
                 break
             v ^= u
     return pivots
+
+
+def _gf2_bits(columns: Iterable[SparseColumn]) -> Iterator[int]:
+    """Each column as an int bit mask over GF(2), one at a time, so the
+    columns are never all held at once."""
+    for col in columns:
+        v = 0
+        for r, c in col:
+            if c & 1:
+                v ^= 1 << r
+        yield v

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, MutableMapping
 
-from .bitsets import SquarefreeMonomial, Subset, Value, mask_string, monomial
+from .bitsets import SquarefreeMonomial, Subset, Value, is_int, mask_string, monomial
 from .classes import FunctionClass, dual_ideal
 from .complexes import (
     SimplicialComplex,
@@ -51,12 +51,28 @@ EXHAUSTIVE_ACYCLICITY_MAX_GROUND = 6
 ACYCLICITY_MAX_FACES = 10**6
 
 
-def _cell(key: tuple[int, SquarefreeMonomial]) -> tuple[int, int, int]:
+def _cell(n: int, key: tuple[int, SquarefreeMonomial]) -> tuple[int, int, int]:
+    """The cell of an ``(i, SquarefreeMonomial)`` key in a table on ground n.
+
+    Any other key, a monomial on another ground included, has no cell:
+    KeyError.
+    """
     try:
         i, m = key
-        return i, m.support0.bits, m.support1.bits
+        if is_int(i) and m.n == n:
+            return i, m.support0.bits, m.support1.bits
     except (TypeError, ValueError, AttributeError):
-        raise KeyError(key) from None
+        pass
+    raise KeyError(key)
+
+
+def _write_cell(n: int, key: tuple[int, SquarefreeMonomial]) -> tuple[int, int, int]:
+    try:
+        return _cell(n, key)
+    except KeyError:
+        raise ValidationError(
+            f"Betti table key must be (int, SquarefreeMonomial on ground {n}), got {key!r}"
+        ) from None
 
 
 class _Entries(MutableMapping):
@@ -69,13 +85,13 @@ class _Entries(MutableMapping):
         self._table = table
 
     def __getitem__(self, key: tuple[int, SquarefreeMonomial]) -> int:
-        return self._table.cells[_cell(key)]
+        return self._table.cells[_cell(self._table.n, key)]
 
     def __setitem__(self, key: tuple[int, SquarefreeMonomial], value: int) -> None:
-        self._table.cells[_cell(key)] = value
+        self._table.cells[_write_cell(self._table.n, key)] = value
 
     def __delitem__(self, key: tuple[int, SquarefreeMonomial]) -> None:
-        del self._table.cells[_cell(key)]
+        del self._table.cells[_cell(self._table.n, key)]
 
     def __iter__(self) -> Iterator[tuple[int, SquarefreeMonomial]]:
         n = self._table.n
@@ -96,7 +112,9 @@ class BettiTable(Value):
     support1 mask) -> value, so beta_{i, m(A, B)} sits at (i, B, [n] \\ A).
     ``entries`` and ``get`` speak in ``SquarefreeMonomial`` keys: ``entries``
     is a mapping over the cells that builds its keys on demand and writes
-    through.  Rendering and Z-graded aggregation reconstruct the
+    through.  A monomial on another ground reads as missing, and writing a
+    key that is not (int, monomial on ground n) raises ValidationError.
+    Rendering and Z-graded aggregation reconstruct the
     rectangular shape.  Unlike the other value types it is mutable and so
     unhashable.
     """
@@ -124,7 +142,7 @@ class BettiTable(Value):
 
     @entries.setter
     def entries(self, entries: Mapping[tuple[int, SquarefreeMonomial], int]) -> None:
-        self.cells = {_cell(key): v for key, v in entries.items()}
+        self.cells = {_write_cell(self.n, key): v for key, v in entries.items()}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -135,6 +153,8 @@ class BettiTable(Value):
         return type(self).from_cells, (self.n, self.cells)
 
     def get(self, i: int, m: SquarefreeMonomial) -> int:
+        if m.n != self.n:
+            return 0
         return self.cells.get((i, m.support0.bits, m.support1.bits), 0)
 
     @property

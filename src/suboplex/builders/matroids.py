@@ -4,8 +4,8 @@ Supported constructions: uniform matroids, linear matroids over a
 prime field (columns of a matrix are the ground elements), graphic
 matroids (cycle matroids of edge lists), and direct sums.  Flats are
 enumerated level by level, one closure per cover, and a linear
-matroid's closure or covers take one row elimination; a minor keeps a
-reference to the base matroid and shifts its rank function.
+matroid's closure takes one row elimination; a minor keeps a reference
+to the base matroid and shifts its rank function.
 """
 
 from __future__ import annotations
@@ -174,15 +174,15 @@ class LinearMatroid(Matroid):
         chosen = [self._sparse[i] for i in range(self.m) if mask >> i & 1]
         return rank_from_columns(chosen, len(self.columns[0]), self.field)
 
-    def _quotient_rows(self, mask: int) -> list:
-        """Reduced rows that vanish on the columns of ``mask`` and span every
-        row vector that does.
+    def closure_mask(self, mask: int) -> int:
+        """The columns in the span of those in ``mask``, from one elimination.
 
         Row operations keep every linear relation among the columns.  So the
         rows are reduced with the coordinates of ``mask`` ordered above all
-        others, and the pivots whose top lies outside ``mask`` are these.
-        Over GF(2) a row is a bit mask over the columns, otherwise a
-        ``{column: coefficient}`` dict.
+        others; the pivots whose top lies outside ``mask`` span the row
+        vectors that vanish on ``mask``, and the closure is the columns on
+        which they all vanish.  Over GF(2) a row is a bit mask over the
+        columns, otherwise a ``{column: coefficient}`` dict.
         """
         m = self.m
         if self.p == 2:
@@ -190,34 +190,11 @@ class LinearMatroid(Matroid):
         else:
             shifted = [[(e + m if mask >> e & 1 else e, x) for e, x in row] for row in self._rows]
             pivots = pivot_columns(shifted, self.field)
-        return [u for top, u in pivots.items() if top < m]
-
-    def closure_mask(self, mask: int) -> int:
-        """The columns in the span of those in ``mask``, from one elimination:
-        those on which every row of ``_quotient_rows(mask)`` vanishes."""
         loose = 0
-        for u in self._quotient_rows(mask):
-            loose |= u if self.p == 2 else sum(1 << e for e in u)
-        return (1 << self.m) - 1 ^ loose
-
-    def _cover_masks(self, f: int) -> list[int]:
-        """Over GF(2), the covers of the flat ``f`` from one elimination.
-
-        A column's image in the quotient by the span of ``f`` is its column
-        in ``_quotient_rows(f)``.  Each cover adds to ``f`` one class of
-        columns with the same nonzero image, found by splitting the columns
-        on each row in turn.  Over other fields, one closure per cover.
-        """
-        if self.p != 2:
-            return super()._cover_masks(f)
-        rows = self._quotient_rows(f)
-        loose = 0
-        for u in rows:
-            loose |= u
-        classes = [loose] if loose else []
-        for u in rows:
-            classes = [part for c in classes for part in (c & u, c & ~u) if part]
-        return [f | c for c in classes]
+        for top, u in pivots.items():
+            if top < m:
+                loose |= u if self.p == 2 else sum(1 << e for e in u)
+        return (1 << m) - 1 ^ loose
 
 
 class GraphicMatroid(Matroid):

@@ -23,7 +23,7 @@ the first rank over Q, so other calls never load it.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .bitsets import Value
 from .errors import ValidationError
@@ -84,19 +84,29 @@ def rank_from_columns(
     Row indices lie in ``range(nrows)``; a row repeated within a column
     has its coefficients added.
     """
-    return len(pivot_columns(columns, field))
+    if field.p != 2:
+        return len(pivot_columns(columns, field))
+    bits: dict[int, int] = {}
+    for col in columns:
+        v = 0
+        for r, c in col:
+            if c & 1:
+                v ^= 1 << r
+        while v:
+            top = v.bit_length() - 1
+            u = bits.get(top)
+            if u is None:
+                bits[top] = v
+                break
+            v ^= u
+    return len(bits)
 
 
 def pivot_columns(columns: Iterable[SparseColumn], field: FieldSpec) -> dict:
-    """The reduced columns left nonzero, keyed by their pivot row.
-
-    A pivot is an int bit mask over GF(2), from ``pivot_bits``, and a
-    ``{row: coefficient}`` dict otherwise.
-    """
+    """The reduced columns left nonzero, as ``{row: coefficient}`` dicts
+    keyed by their pivot row.  ``pivot_bits`` does the same over GF(2)
+    for columns given as int bit masks."""
     p = field.p
-    if p == 2:
-        return pivot_bits(_gf2_bits(columns))
-
     if p is None:
         from fractions import Fraction
     pivots: dict[int, dict[int, int | Fraction]] = {}
@@ -143,14 +153,3 @@ def pivot_bits(vectors: Iterable[int]) -> dict[int, int]:
                 break
             v ^= u
     return pivots
-
-
-def _gf2_bits(columns: Iterable[SparseColumn]) -> Iterator[int]:
-    """Each column as an int bit mask over GF(2), one at a time, so the
-    columns are never all held at once."""
-    for col in columns:
-        v = 0
-        for r, c in col:
-            if c & 1:
-                v ^= 1 << r
-        yield v

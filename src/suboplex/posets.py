@@ -71,7 +71,7 @@ def _comparability(n: int, order: Sequence[int]) -> tuple[list[int], list[int]]:
     """
     everyone = (1 << len(order)) - 1
     rows = [format(m, f"0{n}b") for m in reversed(order)]
-    contains = [int("".join(col), 2) for col in zip(*rows)][::-1] or [0] * n
+    contains = [int("".join(col), 2) for col in zip(*rows)][::-1]
     missing = [everyone ^ c for c in contains]
     up, down = [], []
     for i, m in enumerate(order):

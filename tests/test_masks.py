@@ -193,6 +193,28 @@ class TestTableValue:
         with pytest.raises(TypeError):
             hash(table)
 
+    def test_a_monomial_on_another_ground_is_missing(self):
+        table = BettiTable(3, {(1, SquarefreeMonomial(Subset(3, 0b001), Subset(3, 0b010))): 2})
+        wide = SquarefreeMonomial(Subset(4, 0b001), Subset(4, 0b010))
+        assert table.get(1, wide) == 0
+        assert (1, wide) not in table.entries
+        with pytest.raises(KeyError):
+            table.entries[(1, wide)]
+        with pytest.raises(KeyError):
+            del table.entries[(1, wide)]
+        assert table.cells == {(1, 0b001, 0b010): 2}
+
+    def test_a_malformed_key_is_refused_on_write(self):
+        m = SquarefreeMonomial(Subset(2, 0b01), Subset(2, 0b10))
+        wide = SquarefreeMonomial(Subset(3, 0b01), Subset(3, 0b10))
+        for key in ((1, wide), ("1", m), (True, m), (1, "x0_0"), (1,), "nonsense"):
+            with pytest.raises(ValidationError):
+                BettiTable(2, {key: 1})
+            table = BettiTable(2, {})
+            with pytest.raises(ValidationError):
+                table.entries[key] = 1
+            assert table.cells == {}
+
     def test_entries_write_through(self):
         table = betti_via_intervals(u11_u23_flats())
         key = next(iter(table.entries))

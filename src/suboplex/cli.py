@@ -11,15 +11,24 @@ intersection-closed posets and classes, the brute-force oracle
 otherwise.  ``betti --method mobius`` reads Moebius values instead and
 fails unless the poset is interval Cohen-Macaulay over the field.
 
+The command line is read against one table, ``VERBS``: each verb's
+command, help line, positional (only ``oracle`` has one) and options,
+with --input, --build and --field shared.  The grammar is argparse's:
+``--opt value`` or ``--opt=value``, any unique prefix of a long option,
+the last of a repeated option winning, the positional anywhere, and
+``--`` ending the options.  Help (-h, --help) comes from the same table.
+The parser is a few dozen lines because importing and building argparse
+took about 10 ms of every call.
+
 Exit codes: 0 success, 1 validation or usage error, 2 size cap exceeded.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from typing import Any
+from types import SimpleNamespace
+from typing import Any, Container, NoReturn
 
 from . import io as sio
 from .betti import (
@@ -119,7 +128,7 @@ def _infer_kind(data: Any) -> str:
     raise ValidationError("cannot infer input kind from the document's fields")
 
 
-def _load_input(args: argparse.Namespace) -> _Input:
+def _load_input(args: SimpleNamespace) -> _Input:
     if bool(args.input) == bool(args.build):
         raise ValidationError("exactly one of --input or --build is required")
     if args.input:
@@ -143,7 +152,7 @@ def _render_betti(table: BettiTable, fmt: str) -> str:
     return table.render()
 
 
-def _betti_table(loaded: _Input, args: argparse.Namespace) -> BettiTable:
+def _betti_table(loaded: _Input, args: SimpleNamespace) -> BettiTable:
     field = FieldSpec.parse(args.field)
     if args.method == "mobius":
         return betti_via_mobius(_as_poset(loaded), field)
@@ -277,82 +286,190 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _add_io_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", help="path to a JSON input document")
-    sub.add_argument("--build", help="inline build spec KIND:JSON")
-    sub.add_argument(
-        "--field", default="2", help="coefficient field: a prime or Q (default 2)"
-    )
+# The verb table: verb -> (command, help line, positional, options).  The
+# one positional is (attribute, choices, help).  An option maps its attribute
+# (``--as`` is stored as ``as_``) to (default, choices, help): choices
+# None takes any value, and a False default marks a store-true flag.
+_IO = {
+    "input": (None, None, "path to a JSON input document"),
+    "build": (None, None, "inline build spec KIND:JSON"),
+    "field": ("2", None, "coefficient field: a prime or Q (default 2)"),
+}
+_FORMAT = {"format": ("m2", ("m2", "json"), "output format")}
+VERBS: dict[str, tuple] = {
+    "vcdim": (_cmd_vcdim, "VC dimension of a class", None, {}),
+    "hdim": (_cmd_hdim, "homological dimension of a class", None, {}),
+    "betti": (_cmd_betti, "Betti table of the dual ideal", None, {**_FORMAT, "method": (
+        None, ("mobius",), "Betti numbers from Moebius values; the poset must be interval-CM")}),
+    "mobius": (_cmd_mobius, "Moebius values of a poset", None,
+               {"all": (False, None, "list mu for all comparable pairs")}),
+    "extentures": (_cmd_extentures, "minimal non-extendable partial functions", None, {}),
+    "shatter": (_cmd_shatter, "shattered sets of a class", None,
+                {"set": (None, None, "comma-separated indices to test")}),
+    "check": (_cmd_check, "structural checks on a poset or complex", None, {
+        "intersection_closed": (False, None, "is the family closed under intersection"),
+        "acyclic": (False, None, "is the cellular resolution acyclic"),
+        "exhaustive": (False, None, "acyclicity over all degrees"),
+        "interval_cm": (False, None, "is every interval Cohen-Macaulay (prints CM too)"),
+        "cm": (False, None, "is the order complex or the complex Cohen-Macaulay"),
+    }),
+    "build": (_cmd_build, "materialize an input as canonical JSON", None,
+              {"as_": (None, ("poset", "class", "complex"), "the kind to write")}),
+    "oracle": (_cmd_oracle, "brute-force verifiers", (
+        "what", ("betti", "reg", "vcdim"), "the invariant to compute by brute force"), _FORMAT),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="suboplex",
-        description="Exact invariants of Boolean function classes",
-    )
-    subs = parser.add_subparsers(dest="verb", required=True)
+def _flag(attr: str) -> str:
+    return "--" + attr.rstrip("_").replace("_", "-")
 
-    p = subs.add_parser("vcdim", help="VC dimension of a class")
-    _add_io_arguments(p)
-    p.set_defaults(func=_cmd_vcdim)
 
-    p = subs.add_parser("hdim", help="homological dimension of a class")
-    _add_io_arguments(p)
-    p.set_defaults(func=_cmd_hdim)
+def _metavar(attr: str, default: Any, choices: tuple[str, ...] | None) -> str:
+    if default is False:
+        return ""
+    return " {" + ",".join(choices) + "}" if choices else " " + attr.upper()
 
-    p = subs.add_parser("betti", help="Betti table of the dual ideal")
-    _add_io_arguments(p)
-    p.add_argument("--format", choices=["m2", "json"], default="m2")
-    p.add_argument(
-        "--method",
-        choices=["mobius"],
-        help="Betti numbers from Moebius values; the poset must be interval-CM",
-    )
-    p.set_defaults(func=_cmd_betti)
 
-    p = subs.add_parser("mobius", help="Moebius values of a poset")
-    _add_io_arguments(p)
-    p.add_argument("--all", action="store_true", help="list mu for all comparable pairs")
-    p.set_defaults(func=_cmd_mobius)
+def _usage(verb: str | None) -> str:
+    if verb is None:
+        return "usage: suboplex [-h] {" + ",".join(VERBS) + "} ..."
+    _, _, positional, options = VERBS[verb]
+    parts = [f"[{_flag(a)}{_metavar(a, d, c)}]" for a, (d, c, _) in {**_IO, **options}.items()]
+    if positional:
+        parts.append("{" + ",".join(positional[1]) + "}")
+    return f"usage: suboplex {verb} [-h] " + " ".join(parts)
 
-    p = subs.add_parser("extentures", help="minimal non-extendable partial functions")
-    _add_io_arguments(p)
-    p.set_defaults(func=_cmd_extentures)
 
-    p = subs.add_parser("shatter", help="shattered sets of a class")
-    _add_io_arguments(p)
-    p.add_argument("--set", help="comma-separated indices to test")
-    p.set_defaults(func=_cmd_shatter)
+def _help(verb: str | None) -> str:
+    if verb is None:
+        rows = [(v, spec[1]) for v, spec in VERBS.items()]
+        about, heading = "Exact invariants of Boolean function classes", "verbs:"
+    else:
+        _, about, positional, options = VERBS[verb]
+        rows = [("-h, --help", "show this help message and exit")]
+        rows += [(_flag(a) + _metavar(a, d, c), text) for a, (d, c, text) in {**_IO, **options}.items()]
+        if positional:
+            rows.append(("{" + ",".join(positional[1]) + "}", positional[2]))
+        heading = "options:"
+    return "\n".join([_usage(verb), "", about, "", heading, *(f"  {a:<26}{b}" for a, b in rows)])
 
-    p = subs.add_parser("check", help="structural checks on a poset or complex")
-    _add_io_arguments(p)
-    p.add_argument("--intersection-closed", action="store_true", dest="intersection_closed")
-    p.add_argument("--acyclic", action="store_true")
-    p.add_argument("--exhaustive", action="store_true", help="acyclicity over all degrees")
-    p.add_argument("--interval-cm", action="store_true", dest="interval_cm")
-    p.add_argument("--cm", action="store_true")
-    p.set_defaults(func=_cmd_check)
 
-    p = subs.add_parser("build", help="materialize an input as canonical JSON")
-    _add_io_arguments(p)
-    p.add_argument("--as", dest="as_", choices=["poset", "class", "complex"])
-    p.set_defaults(func=_cmd_build)
+def _fail(verb: str | None, message: str) -> NoReturn:
+    print(_usage(verb), file=sys.stderr)
+    print(f"suboplex{' ' + verb if verb else ''}: error: {message}", file=sys.stderr)
+    raise SystemExit(1)
 
-    p = subs.add_parser("oracle", help="brute-force verifiers")
-    p.add_argument("what", choices=["betti", "reg", "vcdim"])
-    _add_io_arguments(p)
-    p.add_argument("--format", choices=["m2", "json"], default="m2")
-    p.set_defaults(func=_cmd_oracle)
 
-    return parser
+def _choose(verb: str | None, name: str, value: str, choices: tuple[str, ...] | None) -> str:
+    if choices is not None and value not in choices:
+        options = ", ".join(map(repr, choices))
+        _fail(verb, f"argument {name}: invalid choice: {value!r} (choose from {options})")
+    return value
+
+
+def _kind(verb: str | None, arg: str, flags: Container[str]) -> Any:
+    """``"--"``; None for a positional; else (flag or None if unknown, value after ``=``).
+
+    A long option may be any unique prefix of a flag.  A dash followed by
+    a number, or an unknown option with a space in it, is a positional.
+    """
+    if arg == "--" or arg[:1] != "-" or arg == "-":
+        return arg if arg == "--" else None
+    if arg[1] != "-":
+        if arg[1] == "h":  # -hh... asks for help twice; -hx gives -h the value x
+            return "-h", None if arg.strip("h") == "-" else arg[2:]
+        head, dot, tail = arg[1:].partition(".")
+        if (head.isdecimal() or not head) and (tail.isdecimal() or not dot) and head + tail:
+            return None
+        return None if " " in arg else (None, None)
+    name, eq, value = arg.partition("=")
+    matches = [name] if name in flags else [f for f in flags if f.startswith(name)]
+    if len(matches) > 1:
+        _fail(verb, f"ambiguous option: {name} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value if eq else None
+    return None if " " in arg else (None, None)
+
+
+def _parse_verb(verb: str, argv: list[str]) -> SimpleNamespace:
+    func, _, positional, options = VERBS[verb]
+    table = {**_IO, **options}
+    flags = {"-h": None, "--help": None, **{_flag(a): a for a in table}}
+    # Classify every argument first, so an ambiguous prefix fails before
+    # anything is taken; everything after "--" is a positional.
+    kinds: list[Any] = []
+    for arg in argv:
+        kinds.append(None if "--" in kinds else _kind(verb, arg, flags))
+    values = {"verb": verb, "func": func, **{a: spec[0] for a, spec in table.items()}}
+    extras, after, i = [], -1, 0  # after: the index just past the positional
+    while i < len(argv):
+        arg, kind = argv[i], kinds[i]
+        i += 1
+        if kind == "--":  # dropped before the positional or right after it
+            if not positional or positional[0] in values and after != i - 1:
+                extras.append(arg)
+        elif kind is None:
+            if positional and positional[0] not in values:
+                values[positional[0]] = _choose(verb, positional[0], arg, positional[1])
+                after = i
+            else:
+                extras.append(arg)
+        elif kind[0] is None:
+            extras.append(arg)
+        else:
+            name, value = kind
+            attr = flags[name]
+            if attr is not None and table[attr][0] is not False:  # takes a value
+                if value is None:
+                    if i == len(argv) or kinds[i] is not None:
+                        _fail(verb, f"argument {name}: expected one argument")
+                    value, i = argv[i], i + 1
+                values[attr] = _choose(verb, name, value, table[attr][1])
+            elif value is not None:
+                shown = "-h/--help" if attr is None else name
+                _fail(verb, f"argument {shown}: ignored explicit argument {value!r}")
+            elif attr is None:
+                print(_help(verb))
+                raise SystemExit(0)
+            else:
+                values[attr] = True
+    if positional and positional[0] not in values:
+        _fail(verb, f"the following arguments are required: {positional[0]}")
+    if extras:
+        _fail(verb, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**values)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The verb's attributes, with defaults filled in, by the table ``VERBS``.
+
+    Help exits 0 and a usage error exits 1, each through ``SystemExit``.
+    Everything up to the verb may only be a request for help.
+    """
+    extras = []
+    for i, arg in enumerate(argv):
+        kind = _kind(None, arg, ("-h", "--help"))
+        if kind is None or kind == "--":
+            ns = _parse_verb(_choose(None, "verb", arg, tuple(VERBS)), argv[i + 1 :])
+            if extras:
+                _fail(None, "unrecognized arguments: " + " ".join(extras))
+            return ns
+        name, value = kind
+        if name is None:
+            extras.append(arg)
+        elif value is not None:
+            _fail(None, f"argument -h/--help: ignored explicit argument {value!r}")
+        else:
+            print(_help(None))
+            raise SystemExit(0)
+    _fail(None, "the following arguments are required: verb")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:  # argparse exits 2 on a usage error, 0 after --help
-        return 1 if e.code else 0
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except SystemExit as e:  # after help (0) or a usage error (1)
+        return e.code
     try:
         return args.func(args)
     except CapExceededError as e:

@@ -155,15 +155,20 @@ class SubsetPoset:
             raise ValidationError(
                 f"symmetry generator {k} is not a permutation of range({self.n})"
             )
-        images = []
-        for m in self._masks:
-            image = sum(1 << g[v] for v in _bits(m))
-            if image not in self._index:
-                raise ValidationError(
-                    f"symmetry generator {k} maps {Subset(self.n, m)} to a non-member"
-                )
-            images.append(self._index[image])
-        return tuple(images)
+        # The image of each byte of a mask, one table per byte of the ground set.
+        masks, images = self._masks, [0] * len(self._masks)
+        for shift in range(0, self.n, 8):
+            table = [0]
+            for v in g[shift : shift + 8]:
+                table += [t | 1 << v for t in table]
+            images = [image | table[m >> shift & 255] for image, m in zip(images, masks)]
+        index = [self._index.get(image) for image in images]
+        if None in index:
+            m = masks[index.index(None)]
+            raise ValidationError(
+                f"symmetry generator {k} maps {Subset(self.n, m)} to a non-member"
+            )
+        return tuple(index)
 
     @classmethod
     def from_masks(

@@ -2,14 +2,18 @@
 
 Each builds its answer the straightforward way: comparability by testing
 every pair of members, covers by testing each comparable pair for an
-element in between, flats by closing every flat plus one element through
+element in between, symmetry generators by mapping each member bit by bit, flats by closing every flat plus one element through
 rank calls, and Betti tables keyed by ``SquarefreeMonomial`` with the
-text and JSON renderings read from those keys.
+text and JSON renderings read from those keys.  The command line is
+parsed by argparse, as it was before the CLI's verb table.
 """
 
 from __future__ import annotations
 
-from suboplex import SquarefreeMonomial, SubsetPoset, ValidationError, monomial
+import argparse
+
+from suboplex import cli
+from suboplex import SquarefreeMonomial, Subset, SubsetPoset, ValidationError, monomial
 from suboplex.builders import Matroid
 from suboplex.complexes import interval_homology, interval_is_cm
 from suboplex.posets import check_members
@@ -50,6 +54,19 @@ def reference_tables(p: SubsetPoset) -> tuple[list[int], ...]:
 
 def poset_tables(p: SubsetPoset) -> tuple[list[int], ...]:
     return p._up_strict, p._down_strict, p._covers_up, p._covers_down
+
+
+def reference_index_map(p: SubsetPoset, k: int, g: tuple[int, ...]) -> tuple[int, ...]:
+    """``SubsetPoset._index_map``, mapping each member bit by bit."""
+    if not all(isinstance(x, int) for x in g) or sorted(g) != list(range(p.n)):
+        raise ValidationError(f"symmetry generator {k} is not a permutation of range({p.n})")
+    images = []
+    for m in p._masks:
+        image = sum(1 << g[v] for v in range(p.n) if m >> v & 1)
+        if image not in p._index:
+            raise ValidationError(f"symmetry generator {k} maps {Subset(p.n, m)} to a non-member")
+        images.append(p._index[image])
+    return tuple(images)
 
 
 def reference_flats(m: Matroid) -> set[int]:
@@ -122,3 +139,74 @@ def reference_render(entries: Entries) -> str:
         row = [graded.get((i, i + r), 0) for i in range(len(totals))]
         lines.append(f"{r}: " + " ".join(str(v) if v else "." for v in row))
     return "\n".join(lines)
+
+
+def _add_io_arguments(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--input", help="path to a JSON input document")
+    sub.add_argument("--build", help="inline build spec KIND:JSON")
+    sub.add_argument(
+        "--field", default="2", help="coefficient field: a prime or Q (default 2)"
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse grammar that the CLI's verb table replaced."""
+    parser = argparse.ArgumentParser(
+        prog="suboplex",
+        description="Exact invariants of Boolean function classes",
+    )
+    subs = parser.add_subparsers(dest="verb", required=True)
+
+    p = subs.add_parser("vcdim", help="VC dimension of a class")
+    _add_io_arguments(p)
+    p.set_defaults(func=cli._cmd_vcdim)
+
+    p = subs.add_parser("hdim", help="homological dimension of a class")
+    _add_io_arguments(p)
+    p.set_defaults(func=cli._cmd_hdim)
+
+    p = subs.add_parser("betti", help="Betti table of the dual ideal")
+    _add_io_arguments(p)
+    p.add_argument("--format", choices=["m2", "json"], default="m2")
+    p.add_argument(
+        "--method",
+        choices=["mobius"],
+        help="Betti numbers from Moebius values; the poset must be interval-CM",
+    )
+    p.set_defaults(func=cli._cmd_betti)
+
+    p = subs.add_parser("mobius", help="Moebius values of a poset")
+    _add_io_arguments(p)
+    p.add_argument("--all", action="store_true", help="list mu for all comparable pairs")
+    p.set_defaults(func=cli._cmd_mobius)
+
+    p = subs.add_parser("extentures", help="minimal non-extendable partial functions")
+    _add_io_arguments(p)
+    p.set_defaults(func=cli._cmd_extentures)
+
+    p = subs.add_parser("shatter", help="shattered sets of a class")
+    _add_io_arguments(p)
+    p.add_argument("--set", help="comma-separated indices to test")
+    p.set_defaults(func=cli._cmd_shatter)
+
+    p = subs.add_parser("check", help="structural checks on a poset or complex")
+    _add_io_arguments(p)
+    p.add_argument("--intersection-closed", action="store_true", dest="intersection_closed")
+    p.add_argument("--acyclic", action="store_true")
+    p.add_argument("--exhaustive", action="store_true", help="acyclicity over all degrees")
+    p.add_argument("--interval-cm", action="store_true", dest="interval_cm")
+    p.add_argument("--cm", action="store_true")
+    p.set_defaults(func=cli._cmd_check)
+
+    p = subs.add_parser("build", help="materialize an input as canonical JSON")
+    _add_io_arguments(p)
+    p.add_argument("--as", dest="as_", choices=["poset", "class", "complex"])
+    p.set_defaults(func=cli._cmd_build)
+
+    p = subs.add_parser("oracle", help="brute-force verifiers")
+    p.add_argument("what", choices=["betti", "reg", "vcdim"])
+    _add_io_arguments(p)
+    p.add_argument("--format", choices=["m2", "json"], default="m2")
+    p.set_defaults(func=cli._cmd_oracle)
+
+    return parser

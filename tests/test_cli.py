@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -18,9 +21,10 @@ from conftest import (
     rp2_with_top,
 )
 from suboplex import SubsetPoset, betti_via_intervals
-from suboplex.cli import main
+from suboplex.cli import main, parse_args
 from suboplex.complexes import ChainHomology
 from suboplex.io import poset_to_json
+from references import build_parser
 
 FLAG_POSET = {
     "n": 4,
@@ -634,14 +638,18 @@ def test_import_does_not_load_numpy():
 
 
 def test_import_loads_no_dataclasses_or_fractions():
-    """A call pays only for what it uses: ``fractions`` loads once a Q rank runs."""
+    """A call pays only for what it uses: ``fractions`` loads once a Q rank runs, and
+    parsing the command line loads neither ``argparse`` nor what it pulls in."""
     src = str(Path(suboplex.__file__).resolve().parent.parent)
     code = f"""
 import sys
 import suboplex.cli
-print(sorted({{"dataclasses", "inspect", "fractions", "decimal"}} & set(sys.modules)))
+never = {{"dataclasses", "inspect", "argparse", "gettext", "locale"}}
+print(sorted((never | {{"fractions", "decimal"}}) & set(sys.modules)))
 code = suboplex.cli.main(["betti", "--build", {U11_U23_BUILD!r}, "--field", "Q"])
 print("fractions" in sys.modules, code)
+codes = [suboplex.cli.main(argv) for argv in (["betti", "--help"], ["betti", "--f", "2"])]
+print(sorted(never & set(sys.modules)), codes)
 """
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
@@ -650,8 +658,10 @@ print("fractions" in sys.modules, code)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0] == "[]"
-    assert "\n".join(lines[1:-1]) == U11_U23_BETTI_TEXT
-    assert lines[-1] == "True 0"
+    assert "\n".join(lines[1:4]) == U11_U23_BETTI_TEXT
+    assert lines[4] == "True 0"
+    assert lines[5].startswith("usage: suboplex betti")
+    assert lines[-1] == "[] [0, 1]"
 
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -700,3 +710,164 @@ def test_stdout_is_the_same_without_the_group(capsys, monkeypatch, spec):
             SubsetPoset, "__init__", lambda self, n, elements, symmetry=(): init(self, n, elements)
         )
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# Parsing: the verb table against the argparse grammar it replaced.
+
+REFERENCE = build_parser()
+REFERENCE_VERBS = REFERENCE._subparsers._group_actions[0].choices
+SAMPLE_VALUES = ["x.json", "@ic6.json", KCNF32_BUILD, "3", "Q", "0,1,2", "-1", "-x y", ""]
+
+
+def parse_outcome(parse, argv):
+    """The parsed attributes, "help" after help on stdout, or "error" after a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(list(argv)))
+    except SystemExit as e:
+        if e.code == 0:
+            assert out.getvalue().startswith("usage: suboplex") and not err.getvalue(), argv
+            return "help"
+        assert not out.getvalue() and err.getvalue().startswith("usage: suboplex"), argv
+        return "error"
+
+
+def assert_same_parse(argv):
+    expected = parse_outcome(REFERENCE.parse_args, argv)
+    assert parse_outcome(parse_args, argv) == expected, argv
+    return expected
+
+
+def generated_argvs(rng):
+    """Each verb's options from the reference grammar, shuffled and mangled."""
+    yield from ([], ["-h"], ["--help"], ["--he"], ["-hh"], ["-hx"], ["--help=x"], ["nope"],
+                ["--bogus"], ["--bogus", "vcdim", "--build", "x"], ["-1"], ["--"],
+                ["--", "vcdim"], ["Vcdim"], ["vc"], ["vcdim", "-h", "--bogus"],
+                ["oracle", "--", "betti"], ["oracle", "betti", "--"],
+                ["oracle", "--build", "x", "--", "betti"], ["oracle", "--", "--", "betti"],
+                ["oracle", "betti", "--build", "x", "--"], ["vcdim", "--build", "x", "--"],
+                ["vcdim", "--build", "--", "x"], ["vcdim", "--", "--build", "x"])
+    for verb, sub in REFERENCE_VERBS.items():
+        actions = [a for a in sub._actions if a.dest != "help"]
+        longs = [s for a in sub._actions for s in a.option_strings if s.startswith("--")]
+        ambiguous = sorted({
+            s[:k] for s in longs for k in range(3, len(s))
+            if sum(o.startswith(s[:k]) for o in longs) > 1 and s[:k] not in longs
+        })
+        for _ in range(40):
+            words: list[list[str]] = []
+            for a in actions:
+                if rng.random() < 0.4:
+                    continue
+                value = rng.choice(list(a.choices or SAMPLE_VALUES))
+                if not a.option_strings:
+                    words.append([value])
+                    continue
+                flag = a.option_strings[0]
+                unique = [flag[:k] for k in range(3, len(flag))
+                          if sum(o.startswith(flag[:k]) for o in longs) == 1]
+                if unique and rng.random() < 0.3:
+                    flag = rng.choice(unique)
+                if a.nargs == 0:
+                    words.append([flag])
+                elif rng.random() < 0.3:
+                    words.append([f"{flag}={value}"])
+                else:
+                    words.append([flag, value])
+                if a.nargs != 0 and rng.random() < 0.15:  # repeated: the last one wins
+                    words.append([flag, rng.choice(list(a.choices or SAMPLE_VALUES))])
+            rng.shuffle(words)
+            argv = [verb, *(w for word in words for w in word)]
+            mangle = rng.randrange(12)
+            spot = rng.randrange(1, len(argv) + 1)
+            if mangle == 0 and ambiguous:
+                argv.insert(spot, rng.choice(ambiguous))
+            elif mangle == 1:  # a missing value
+                valued = [a.option_strings[0] for a in actions if a.option_strings and a.nargs != 0]
+                argv.insert(spot, rng.choice(valued))
+            elif mangle == 2:
+                argv.insert(spot, rng.choice(["--format", "--as", "--method"]))
+                argv.insert(spot + 1, "bogus")
+            elif mangle == 3:
+                argv.insert(spot, rng.choice(["--bogus", "-x", "--bogus=1", "-1"]))
+            elif mangle == 4:
+                argv.insert(spot, rng.choice(["stray", "betti"]))
+            elif mangle == 5:
+                argv.insert(spot, rng.choice(["-h", "--help", "--h", "--hel", "-hh", "-hx"]))
+            elif mangle == 6:
+                argv.insert(spot, rng.choice(["--all=1", "--cm=", "--help="]))
+            elif mangle == 7:
+                argv.insert(spot, "--")
+            yield argv
+
+
+def workload_argvs():
+    for name in workloads.WORKLOAD_NAMES:
+        w = workloads.make_workload(name, workloads.DEFAULT_SEED)
+        yield from (call.args for call in w.calls)
+        for pair in (*w.hall, *w.same_output):
+            yield from (args for args in pair if isinstance(args, list))
+
+
+class TestParser:
+    def test_every_benchmark_call_parses_the_same(self):
+        argvs = list(workload_argvs())
+        assert len(argvs) >= 44
+        for argv in argvs:
+            assert isinstance(assert_same_parse(argv), dict), argv
+
+    def test_generated_argvs_parse_the_same(self, rng):
+        outcomes = [assert_same_parse(argv) for argv in generated_argvs(rng)]
+        assert {"help", "error"} <= set(map(str, outcomes))
+        assert sum(isinstance(o, dict) for o in outcomes) > len(outcomes) // 4
+
+    def test_forms_of_one_option(self):
+        expected = {"verb": "betti", "func": suboplex.cli._cmd_betti, "input": None,
+                    "build": "x", "field": "3", "format": "json", "method": None}
+        for argv in (["betti", "--build", "x", "--field", "3", "--format", "json"],
+                     ["betti", "--format=json", "--fi=3", "--b", "x"],
+                     ["betti", "--format", "m2", "--build=y", "--format=json", "--bu=x", "--fie", "3"]):
+            assert vars(parse_args(argv)) == expected
+            assert assert_same_parse(argv) == expected
+
+    def test_positional_anywhere(self):
+        for argv in (["oracle", "reg", "--build", "x"], ["oracle", "--build", "x", "reg"],
+                     ["oracle", "--format", "json", "reg", "--build", "x"]):
+            assert parse_args(argv).what == "reg"
+            assert_same_parse(argv)
+
+    def test_usage_error_lines(self, capsys):
+        for argv, verb, message in [
+            (["betti", "--f", "2"], "betti", "ambiguous option: --f could match --field, --format"),
+            (["check", "--input"], "check", "argument --input: expected one argument"),
+            (["oracle", "--build", "x"], "oracle", "the following arguments are required: what"),
+            ([], None, "the following arguments are required: verb"),
+        ]:
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            usage, error = err.splitlines()
+            assert out == "" and usage.startswith("usage: suboplex" + (f" {verb} " if verb else " "))
+            assert error == f"suboplex{' ' + verb if verb else ''}: error: {message}"
+
+    def test_help_lists_every_option(self, capsys):
+        for verb, sub in REFERENCE_VERBS.items():
+            assert main([verb, "--help"]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"usage: suboplex {verb} [-h]")
+            for a in sub._actions:
+                assert all(s in out for s in a.option_strings)
+                assert all(c in out for c in a.choices or ())
+        assert main(["-h"]) == 0
+        out = capsys.readouterr().out
+        assert all(f"  {verb} " in out for verb in REFERENCE_VERBS)
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("suboplex ")]
+        assert len(lines) >= 10
+        for line in lines:
+            argv = shlex.split(line, comments=True)[1:]
+            assert isinstance(assert_same_parse(argv), dict), line

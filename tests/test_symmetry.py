@@ -36,6 +36,7 @@ from suboplex.builders import (
 )
 from suboplex.io import poset_from_json
 from suboplex.posets import and_closed
+from references import reference_index_map
 
 
 def formula(variant: str, d: int, k: int | None = None) -> SubsetPoset:
@@ -170,6 +171,40 @@ def test_orbit_counts():
             len(list(p.intervals())),
         )
         assert got == expected, name
+
+
+def index_map_outcome(fn, p: SubsetPoset, k: int, g) -> object:
+    try:
+        return fn(p, k, tuple(g))
+    except ValidationError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_index_maps_match_the_bitwise_reference(name):
+    p = BUILDERS[name][0]()
+    for k, g in enumerate(p.symmetry):
+        assert p._automorphisms[k] == reference_index_map(p, k, g)
+
+
+def test_index_maps_on_random_posets(rng):
+    """Members closed under a random permutation, so it maps onto members; a second one mostly not."""
+    for _ in range(200):
+        n = rng.choice([1, 2, 7, 8, 9, 16, 17, 30])
+        g = list(range(n))
+        rng.shuffle(g)
+        masks = set()
+        for _ in range(rng.randint(1, 8)):
+            m = rng.getrandbits(n)
+            while m not in masks:
+                masks.add(m)
+                m = sum(1 << g[v] for v in range(n) if m >> v & 1)
+        p = SubsetPoset.from_masks(n, masks)
+        h = list(range(n))
+        rng.shuffle(h)
+        for k, perm in enumerate((g, h, [*g[1:], g[0]], g[:-1] + [n])):
+            got = index_map_outcome(SubsetPoset._index_map, p, k, perm)
+            assert got == index_map_outcome(reference_index_map, p, k, perm), (n, perm)
 
 
 class TestGenerators:

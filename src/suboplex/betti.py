@@ -195,9 +195,14 @@ class BettiTable(Value):
             lines.append(f"{r}: " + " ".join(str(v) if v else "." for v in row))
         return "\n".join(lines)
 
-    def json_entries(self) -> list[dict]:
-        """Entries by (i, degree, support masks); m(A, B) is written from the masks,
-        each distinct mask's string rendered once."""
+    def render_json(self) -> str:
+        """The text ``json.dumps({"entries": [...]})`` writes for this table.
+
+        Entries are {"i", "degree", "value"} by (i, degree, support masks);
+        m(A, B) is written from the masks, each distinct mask's string
+        rendered once.  A degree holds only letters, digits and ``_*(),``,
+        so nothing needs escaping.
+        """
         n, full = self.n, (1 << self.n) - 1
         rows = sorted(
             (i, s0.bit_count() + s1.bit_count(), s0, s1, v) for (i, s0, s1), v in self.cells.items()
@@ -210,8 +215,8 @@ class BettiTable(Value):
                 degree = f"m({names[full & ~s1]},{names[s0]})"
             else:
                 degree = str(SquarefreeMonomial(Subset(n, s0), Subset(n, s1)))
-            out.append({"i": i, "degree": degree, "value": v})
-        return out
+            out.append(f'{{"i": {i}, "degree": "{degree}", "value": {v}}}')
+        return '{"entries": [' + ", ".join(out) + "]}"
 
 
 class LabeledComplex(Value):

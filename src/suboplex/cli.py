@@ -21,11 +21,22 @@ The parser is a few dozen lines because importing and building argparse
 took about 10 ms of every call.
 
 Exit codes: 0 success, 1 validation or usage error, 2 size cap exceeded.
+
+``main`` returns its exit code and never ends the process, so a caller
+in the same interpreter (the tests, the benchmark's tracer, which writes
+its spans after ``main`` returns) keeps control.  The process entry is
+``run``, for ``python -m suboplex.cli`` and the installed ``suboplex``
+script alike: it flushes stdout and stderr and leaves by ``os._exit``,
+skipping the interpreter's teardown (the final collection and module
+clearing), which took longer than many calls' own work.  A closed stdout
+pipe ends the call with exit 1 and no traceback; any other uncaught
+exception leaves through the interpreter as usual, traceback and exit 1.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 from typing import Any, Container, NoReturn
@@ -147,9 +158,7 @@ def _load_input(args: SimpleNamespace) -> _Input:
 
 
 def _render_betti(table: BettiTable, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps({"entries": table.json_entries()})
-    return table.render()
+    return table.render_json() if fmt == "json" else table.render()
 
 
 def _betti_table(loaded: _Input, args: SimpleNamespace) -> BettiTable:
@@ -480,5 +489,16 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The process entry: ``main`` on ``sys.argv``, then flush and end the process."""
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:  # the reader went away; what it did not take is dropped
+        code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

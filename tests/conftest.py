@@ -184,7 +184,7 @@ def chars(s: Subset) -> str:
 
 
 def reference_json_entries(table: BettiTable) -> list[dict]:
-    """``json_entries`` through the set pair of each degree, one character at a time."""
+    """``render_json``'s entries through the set pair of each degree, one character at a time."""
     out = []
     for (i, m), v in table.entries.items():
         if m.has_full_support:

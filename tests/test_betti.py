@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -496,18 +498,23 @@ class TestRender:
 
     def test_json_entries_shape(self):
         table = betti_via_intervals(u11_u23_flats())
-        entries = table.json_entries()
+        text = table.render_json()
+        assert text == json.dumps({"entries": reference_json_entries(table)})
+        entries = json.loads(text)["entries"]
         assert {"i": 2, "degree": "m(0000,0111)", "value": 2} in entries
         assert all(set(e) == {"i", "degree", "value"} for e in entries)
 
     def test_json_entries_match_a_reference(self, rng):
         for _ in range(30):
             table = betti_via_intervals(random_intersection_closed_poset(rng, max_n=6))
-            assert table.json_entries() == reference_json_entries(table)
+            assert table.render_json() == json.dumps({"entries": reference_json_entries(table)})
         m = SquarefreeMonomial(S("100"), S("010"))
         table = BettiTable(3, {(0, m): 1, (1, monomial(S("000"), S("110"))): 2})
-        assert table.json_entries() == reference_json_entries(table)
-        assert table.json_entries()[0] == {"i": 0, "degree": "x0_0*x1_1", "value": 1}
+        assert table.render_json() == json.dumps({"entries": reference_json_entries(table)})
+        assert json.loads(table.render_json())["entries"][0] == {
+            "i": 0, "degree": "x0_0*x1_1", "value": 1
+        }
+        assert BettiTable(3, {}).render_json() == json.dumps({"entries": []})
 
 
 class TestValueTypes:

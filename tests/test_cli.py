@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import suboplex
+import suboplex.cli
 from bundled import U11_U23_BETTI_TEXT
 from conftest import (
     RP2_FACETS,
@@ -21,7 +23,7 @@ from conftest import (
     rp2_with_top,
 )
 from suboplex import SubsetPoset, betti_via_intervals
-from suboplex.cli import main, parse_args
+from suboplex.cli import VERBS, main, parse_args
 from suboplex.complexes import ChainHomology
 from suboplex.io import poset_to_json
 from references import build_parser
@@ -710,6 +712,131 @@ def test_stdout_is_the_same_without_the_group(capsys, monkeypatch, spec):
             SubsetPoset, "__init__", lambda self, n, elements, symmetry=(): init(self, n, elements)
         )
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# The process entry: a child ends through ``cli.run``, not the interpreter's teardown.
+
+SRC = str(Path(suboplex.__file__).resolve().parent.parent)
+CHILD_ENV = dict(os.environ, PYTHONPATH=SRC)
+CONSTANT_CLASS = 'class:{"n":2,"functions":["10","11"]}'
+CONSTANT_WARNING = (
+    "UserWarning: coordinates {0} are constant across the class; "
+    "consider restricting the ground set"
+)
+
+
+def cli_child(*argv):
+    """``python -m suboplex.cli argv``, read through pipes."""
+    return subprocess.run(
+        [sys.executable, "-m", "suboplex.cli", *argv],
+        env=CHILD_ENV, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_kcnf_betti_json_through_a_pipe():
+    out = cli_child("betti", "--build", KCNF32_BUILD, "--field", "2", "--format", "json")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == workloads.load_expected("kcnf")["betti_gf2"]
+
+
+def test_degenerate_class_warning_reaches_stderr():
+    out = cli_child("vcdim", "--build", CONSTANT_CLASS)
+    assert (out.returncode, out.stdout) == (0, "1\n")
+    lines = out.stderr.splitlines()
+    assert len(lines) == 2 and lines[0].endswith(CONSTANT_WARNING), out.stderr
+    assert lines[1].strip() == "warn_if_degenerate(c)"
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout_start, stderr_lines",
+    [
+        (["vcdim", "--build", U11_U23_BUILD], 0, "3\n", []),
+        (["vcdim", "--build", 'class:{"n":3,"functions":["0111"]}'], 1, "",
+         ["error: class functions entry '0111' has width 4, inconsistent with n = 3"]),
+        (["vcdim", "--nope"], 1, "", [
+            "usage: suboplex vcdim [-h] [--input INPUT] [--build BUILD] [--field FIELD]",
+            "suboplex vcdim: error: unrecognized arguments: --nope",
+        ]),
+        (["nope"], 1, "", [
+            "usage: suboplex [-h] {" + ",".join(VERBS) + "} ...",
+            "suboplex: error: argument verb: invalid choice: 'nope' (choose from "
+            + ", ".join(map(repr, VERBS)) + ")",
+        ]),
+        (["build", "--build", 'matroid:{"type":"uniform","k":16,"m":16}'], 2, "",
+         ["error: flat enumeration is capped at 20000 members, got 26333"]),
+        (["--help"], 0, "usage: suboplex [-h] {", []),
+        (["betti", "--help"], 0, "usage: suboplex betti [-h]", []),
+    ],
+)
+def test_exit_codes_of_a_child(argv, code, stdout_start, stderr_lines):
+    out = cli_child(*argv)
+    assert (out.returncode, out.stderr.splitlines()) == (code, stderr_lines)
+    if stdout_start:
+        assert out.stdout.startswith(stdout_start)
+    else:
+        assert out.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "--build", KCNF32_BUILD, "--format", "json"],  # fails in the verb's writes
+        ["vcdim", "--build", KCNF32_BUILD],  # fails in the final flush
+    ],
+)
+def test_closed_stdout_pipe_exits_1_without_a_traceback(argv):
+    """A reader that is gone before the child writes: exit 1, nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "suboplex.cli", *argv],
+            env=CHILD_ENV, stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, "")
+
+
+def test_uncaught_exception_in_a_verb_keeps_its_traceback():
+    code = (
+        "import sys, suboplex.cli as cli\n"
+        "cli.vc_dimension = lambda c: 1 // 0\n"
+        f"sys.argv[1:] = ['vcdim', '--build', {U11_U23_BUILD!r}]\n"
+        "cli.run()\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=CHILD_ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert (out.returncode, out.stdout) == (1, "")
+    lines = out.stderr.splitlines()
+    assert lines[0] == "Traceback (most recent call last):", out.stderr
+    assert lines[-1] == "ZeroDivisionError: integer division or modulo by zero"
+    assert any("in _cmd_vcdim" in line for line in lines)
+
+
+def test_script_and_main_block_call_the_same_entry():
+    """``[project.scripts] suboplex`` names what ``python -m suboplex.cli`` calls.
+
+    pyproject.toml is read as text, since Python 3.10 has no ``tomllib``.
+    """
+    root = Path(__file__).resolve().parent.parent
+    scripts = root.joinpath("pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]")
+    assert len(scripts) == 2
+    section = scripts[1].split("\n[", 1)[0]
+    targets = [line.split("=", 1)[1].strip().strip('"') for line in section.splitlines()
+               if line.split("=", 1)[0].strip() == "suboplex"]
+    tree = ast.parse(Path(suboplex.cli.__file__).read_text(encoding="utf-8"))
+    blocks = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(blocks) == 1
+    [statement] = blocks[0].body
+    assert isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Call)
+    assert not statement.value.args and not statement.value.keywords
+    assert targets == [f"suboplex.cli:{ast.unparse(statement.value.func)}"] == ["suboplex.cli:run"]
 
 
 # ---------------------------------------------------------------------------

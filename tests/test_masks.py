@@ -117,7 +117,7 @@ def assert_same_table(table: BettiTable, entries: dict) -> None:
     assert table.get(0, SquarefreeMonomial(Subset(n, 0), Subset(n, 0))) == 0
     assert table.totals() == reference_totals(entries)
     assert table.render().encode() == reference_render(entries).encode()
-    ours = json.dumps({"entries": table.json_entries()})
+    ours = table.render_json()
     theirs = json.dumps({"entries": reference_json_entries(SimpleNamespace(entries=entries))})
     assert ours.encode() == theirs.encode()
 
@@ -181,7 +181,7 @@ class TestTableValue:
         table = BettiTable(3, {(1, m): 2})
         assert table.cells == {(1, 0b001, 0b010): 2}
         assert table.entries == {(1, m): 2} and table.get(1, m) == 2
-        assert table.json_entries() == [{"i": 1, "degree": "x0_0*x1_1", "value": 2}]
+        assert table.render_json() == '{"entries": [{"i": 1, "degree": "x0_0*x1_1", "value": 2}]}'
 
     def test_assignment_goes_through_the_cells(self):
         m = SquarefreeMonomial(Subset(2, 0b11), Subset(2, 0b00))

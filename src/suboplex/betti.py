@@ -32,7 +32,7 @@ starts passes only from element-orbit representatives.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, MutableMapping
+from collections.abc import Mapping
 
 from .bitsets import SquarefreeMonomial, Subset, Value, is_int, mask_string, monomial
 from .classes import FunctionClass, dual_ideal
@@ -51,106 +51,54 @@ EXHAUSTIVE_ACYCLICITY_MAX_GROUND = 6
 ACYCLICITY_MAX_FACES = 10**6
 
 
-def _cell(n: int, key: tuple[int, SquarefreeMonomial]) -> tuple[int, int, int]:
-    """The cell of an ``(i, SquarefreeMonomial)`` key in a table on ground n.
-
-    Any other key, a monomial on another ground included, has no cell:
-    KeyError.
-    """
-    try:
-        i, m = key
-        if is_int(i) and m.n == n:
-            return i, m.support0.bits, m.support1.bits
-    except (TypeError, ValueError, AttributeError):
-        pass
-    raise KeyError(key)
-
-
-def _write_cell(n: int, key: tuple[int, SquarefreeMonomial]) -> tuple[int, int, int]:
-    try:
-        return _cell(n, key)
-    except KeyError:
-        raise ValidationError(
-            f"Betti table key must be (int, SquarefreeMonomial on ground {n}), got {key!r}"
-        ) from None
-
-
-class _Entries(MutableMapping):
-    """A ``BettiTable``'s cells seen through ``(i, SquarefreeMonomial)`` keys;
-    reads build the monomials, writes go to the cells."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: "BettiTable") -> None:
-        self._table = table
-
-    def __getitem__(self, key: tuple[int, SquarefreeMonomial]) -> int:
-        return self._table.cells[_cell(self._table.n, key)]
-
-    def __setitem__(self, key: tuple[int, SquarefreeMonomial], value: int) -> None:
-        self._table.cells[_write_cell(self._table.n, key)] = value
-
-    def __delitem__(self, key: tuple[int, SquarefreeMonomial]) -> None:
-        del self._table.cells[_cell(self._table.n, key)]
-
-    def __iter__(self) -> Iterator[tuple[int, SquarefreeMonomial]]:
-        n = self._table.n
-        for i, s0, s1 in self._table.cells:
-            yield i, SquarefreeMonomial(Subset(n, s0), Subset(n, s1))
-
-    def __len__(self) -> int:
-        return len(self._table.cells)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-
 class BettiTable(Value):
     """Multigraded Betti numbers: (homological index, multidegree) -> value.
 
     Only nonzero entries are stored, as ``cells``: (i, support0 mask,
     support1 mask) -> value, so beta_{i, m(A, B)} sits at (i, B, [n] \\ A).
-    ``entries`` and ``get`` speak in ``SquarefreeMonomial`` keys: ``entries``
-    is a mapping over the cells that builds its keys on demand and writes
-    through.  A monomial on another ground reads as missing, and writing a
-    key that is not (int, monomial on ground n) raises ValidationError.
-    Rendering and Z-graded aggregation reconstruct the
-    rectangular shape.  Unlike the other value types it is mutable and so
-    unhashable.
+    The constructor stores the cells it is given unchecked, as the sweeps
+    and the oracle write them; ``from_entries`` builds a table from
+    ``(i, SquarefreeMonomial)`` keys and refuses any other key.
+    ``entries`` and ``get`` read back in monomial keys, and a monomial on
+    another ground reads as 0.  Rendering and Z-graded aggregation
+    reconstruct the rectangular shape.  The cells are a dict, so a table
+    is unhashable.
     """
 
-    _fields = ("n", "entries")
+    __slots__ = _fields = ("n", "cells")
     n: int
     cells: dict[tuple[int, int, int], int]
     __hash__ = None  # type: ignore[assignment]
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
 
-    def __init__(self, n: int, entries: Mapping[tuple[int, SquarefreeMonomial], int]) -> None:
-        self.n = n
-        self.entries = entries
+    def __init__(self, n: int, cells: dict[tuple[int, int, int], int]) -> None:
+        self._assign(n, cells)
 
     @classmethod
-    def from_cells(cls, n: int, cells: dict[tuple[int, int, int], int]) -> "BettiTable":
-        table = cls.__new__(cls)
-        table.n, table.cells = n, cells
-        return table
+    def from_entries(
+        cls, n: int, entries: Mapping[tuple[int, SquarefreeMonomial], int]
+    ) -> "BettiTable":
+        cells: dict[tuple[int, int, int], int] = {}
+        for key, v in entries.items():
+            try:
+                i, m = key
+                if is_int(i) and m.n == n:
+                    cells[(i, m.support0.bits, m.support1.bits)] = v
+                    continue
+            except (TypeError, ValueError, AttributeError):
+                pass
+            raise ValidationError(
+                f"Betti table key must be (int, SquarefreeMonomial on ground {n}), got {key!r}"
+            )
+        return cls(n, cells)
 
     @property
-    def entries(self) -> _Entries:
-        return _Entries(self)
-
-    @entries.setter
-    def entries(self, entries: Mapping[tuple[int, SquarefreeMonomial], int]) -> None:
-        self.cells = {_write_cell(self.n, key): v for key, v in entries.items()}
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.cells == other.cells
-
-    def __reduce__(self):
-        return type(self).from_cells, (self.n, self.cells)
+    def entries(self) -> dict[tuple[int, SquarefreeMonomial], int]:
+        """A new dict of the cells keyed by ``(i, SquarefreeMonomial)``."""
+        n = self.n
+        return {
+            (i, SquarefreeMonomial(Subset(n, s0), Subset(n, s1))): v
+            for (i, s0, s1), v in self.cells.items()
+        }
 
     def get(self, i: int, m: SquarefreeMonomial) -> int:
         if m.n != self.n:
@@ -324,7 +272,7 @@ def betti_via_intervals(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTabl
             if v:
                 for a, b in pairs:
                     cells[(d + 2, masks[b], outside[a])] = v
-    return BettiTable.from_cells(p.n, cells)
+    return BettiTable(p.n, cells)
 
 
 def betti_via_mobius(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTable:
@@ -347,7 +295,7 @@ def betti_via_mobius(p: SubsetPoset, fieldspec: FieldSpec = GF2) -> BettiTable:
         if mu:
             for a, b in pairs:
                 cells[(rank, masks[b], outside[a])] = abs(mu)
-    return BettiTable.from_cells(p.n, cells)
+    return BettiTable(p.n, cells)
 
 
 def _hdim_of_poset(p: SubsetPoset, fieldspec: FieldSpec) -> int:

@@ -21,6 +21,7 @@ from .complexes import SimplicialComplex  # kept after .posets: linalg first add
 
 EXTENTURE_MAX_WORK = 500_000_000
 EXTENTURE_MAX_FAMILY = 1_000_000
+VC_MAX_WORK = 100_000_000
 
 
 class FunctionClass:
@@ -169,11 +170,21 @@ def is_shattered(c: FunctionClass, u: Subset) -> bool:
 
 
 def _shattered_levels(c: FunctionClass) -> list[list[int]]:
-    # Level-wise search with subset pruning: a set can be shattered only
-    # if all its one-element-smaller subsets are.
-    n = c.n
+    """The shattered subsets of [n] as masks, level by level from the empty set.
+
+    A set can be shattered only if all its one-element-smaller subsets
+    are, so each level's candidates grow from the level below.  The work
+    is counted per level as candidate generation (|level| * n subset
+    tests) plus member scans (candidates * members); ``CapExceededError``
+    is raised before either would take the total past ``VC_MAX_WORK``.
+    """
+    n, members = c.n, len(c._masks)
     levels = [[0]]  # the empty set is shattered by any nonempty class
+    work = 0
     while True:
+        work += len(levels[-1]) * n
+        if work > VC_MAX_WORK:
+            raise CapExceededError(f"VC search is capped at {VC_MAX_WORK} steps")
         prev = set(levels[-1])
         candidates: set[int] = set()
         for s in levels[-1]:
@@ -186,6 +197,9 @@ def _shattered_levels(c: FunctionClass) -> list[list[int]]:
                     continue
                 if all((t & ~(1 << w)) in prev for w in range(n) if t >> w & 1):
                     candidates.add(t)
+        work += len(candidates) * members
+        if work > VC_MAX_WORK:
+            raise CapExceededError(f"VC search is capped at {VC_MAX_WORK} steps")
         nxt = sorted(u for u in candidates if _is_shattered_brute(c, u))
         if not nxt:
             return levels

@@ -94,7 +94,7 @@ def _as_poset(loaded: _Input) -> SubsetPoset:
 def _parse_json(text: str, origin: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValidationError(f"malformed JSON in {origin}: {e}") from None
 
 

@@ -26,9 +26,13 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .bitsets import Value
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 
 SparseColumn = Iterable[tuple[int, int]]
+
+# ``_is_prime`` divides by every odd number up to sqrt(p): about 23k
+# divisions at this cap, and hours for a 30-digit p.
+FIELD_MAX_CHARACTERISTIC = 2**31 - 1
 
 
 def _is_prime(p: int) -> bool:
@@ -47,12 +51,20 @@ def _is_prime(p: int) -> bool:
 
 
 class FieldSpec(Value):
-    """A coefficient field: GF(p) for a prime p, or exact rationals (p=None)."""
+    """A coefficient field: GF(p) for a prime p, or exact rationals (p=None).
+
+    A characteristic above ``FIELD_MAX_CHARACTERISTIC`` raises
+    ``CapExceededError`` before the primality test.
+    """
 
     __slots__ = _fields = ("p",)
     p: int | None
 
     def __init__(self, p: int | None = 2) -> None:
+        if p is not None and p > FIELD_MAX_CHARACTERISTIC:
+            raise CapExceededError(
+                f"field characteristic is capped at {FIELD_MAX_CHARACTERISTIC}, got {p}"
+            )
         if p is not None and not _is_prime(p):
             raise ValidationError(f"field characteristic must be prime, got {p}")
         self._assign(p)
@@ -64,6 +76,8 @@ class FieldSpec(Value):
             return cls(None)
         try:
             return cls(int(t))
+        except CapExceededError:
+            raise
         except ValueError:
             raise ValidationError(f"field must be a prime or 'Q', got {text!r}") from None
 

@@ -15,7 +15,6 @@ Homology does not depend on vertex numbering, so neither does any table.
 from __future__ import annotations
 
 from .betti import BettiTable
-from .bitsets import SquarefreeMonomial, Subset
 from .classes import FunctionClass, IdealGenerators
 from .complexes import _chain_homology
 from .errors import CapExceededError
@@ -67,7 +66,7 @@ def betti_oracle(gens: IdealGenerators, fieldspec: FieldSpec = GF2) -> BettiTabl
                 member[m] = 1
                 break
     full = (1 << n) - 1
-    entries: dict[tuple[int, SquarefreeMonomial], int] = {}
+    cells: dict[tuple[int, int, int], int] = {}
     for b in range(size):
         if not member[b]:
             continue  # K^b has no faces at all: nothing in this degree
@@ -75,14 +74,14 @@ def betti_oracle(gens: IdealGenerators, fieldspec: FieldSpec = GF2) -> BettiTabl
         for d in chain.faces:
             v = chain.betti(d)
             if v:
-                entries[(d + 1, SquarefreeMonomial(Subset(n, b & full), Subset(n, b >> n)))] = v
-    return BettiTable(n=n, entries=entries)
+                cells[(d + 1, b & full, b >> n)] = v
+    return BettiTable(n, cells)
 
 
 def regularity_oracle(gens: IdealGenerators, fieldspec: FieldSpec = GF2) -> int:
     """Castelnuovo-Mumford regularity: max of (total degree - index) over the table."""
     table = betti_oracle(gens, fieldspec)
-    return max(m.degree - i for (i, m) in table.entries)
+    return max(s0.bit_count() + s1.bit_count() - i for (i, s0, s1) in table.cells)
 
 
 def vc_oracle(c: FunctionClass) -> int:

@@ -509,7 +509,7 @@ class TestRender:
             table = betti_via_intervals(random_intersection_closed_poset(rng, max_n=6))
             assert table.render_json() == json.dumps({"entries": reference_json_entries(table)})
         m = SquarefreeMonomial(S("100"), S("010"))
-        table = BettiTable(3, {(0, m): 1, (1, monomial(S("000"), S("110"))): 2})
+        table = BettiTable.from_entries(3, {(0, m): 1, (1, monomial(S("000"), S("110"))): 2})
         assert table.render_json() == json.dumps({"entries": reference_json_entries(table)})
         assert json.loads(table.render_json())["entries"][0] == {
             "i": 0, "degree": "x0_0*x1_1", "value": 1
@@ -519,9 +519,11 @@ class TestRender:
 
 class TestValueTypes:
     def test_betti_table(self):
-        entries = {(0, monomial(S("01"), S("01"))): 1}
-        table = assert_value_type(BettiTable, {"n": 2, "entries": entries}, frozen=False)
-        assert table != BettiTable(2, {})
+        m = monomial(S("01"), S("01"))
+        cells = {(0, m.support0.bits, m.support1.bits): 1}
+        table = assert_value_type(BettiTable, {"n": 2, "cells": cells})
+        assert table == BettiTable.from_entries(2, {(0, m): 1})
+        assert table != BettiTable(2, {}) and table != BettiTable(3, cells)
 
     def test_labeled_complex(self):
         p = SubsetPoset.from_strings(["0", "1"])

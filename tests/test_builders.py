@@ -57,6 +57,13 @@ class TestMatroidRank:
             with pytest.raises(ValidationError):
                 LinearMatroid(p, [(1, 0), (0, 1)])
 
+    def test_linear_field_is_capped(self):
+        spec = {"type": "linear", "p": 10000000000000061, "matrix": [[1, 0], [0, 1]]}
+        message = "^field characteristic is capped at 2147483647, got 10000000000000061$"
+        with pytest.raises(CapExceededError, match=message):
+            matroid_from_json(spec)
+        assert matroid_from_json(dict(spec, p=2147483647)).rank(S("11")) == 2
+
     def test_graphic_triangle(self):
         m = u11_u23_graph()
         assert m.rank(S("0111")) == 2

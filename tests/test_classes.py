@@ -217,6 +217,19 @@ class TestVcDimension:
             c = random_class(rng)
             assert vc_dimension(c) == vc_oracle(c)
 
+    def test_work_cap(self, monkeypatch):
+        # full_class(3), level by level, generation + scans: 3 + 24, 9 + 24, 9 + 8, 3 + 0
+        c = FunctionClass.full_class(3)
+        monkeypatch.setattr(suboplex.classes, "VC_MAX_WORK", 80)
+        assert vc_dimension(c) == 3
+        for cap in (79, 77, 60, 0):
+            monkeypatch.setattr(suboplex.classes, "VC_MAX_WORK", cap)
+            with pytest.raises(CapExceededError, match=f"^VC search is capped at {cap} steps$"):
+                vc_dimension(c)
+            with pytest.raises(CapExceededError):
+                shatter_complex(c)
+            assert vc_oracle(c) == 3
+
 
 class TestShatterComplex:
     def test_delta_functions_give_points(self):

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import resource
 import shlex
 import subprocess
@@ -372,6 +373,23 @@ class TestOtherVerbs:
         assert out.returncode == 0, out.stderr
         assert len(out.stdout.splitlines()) == 240
 
+    def test_vcdim_kcnf_4_2_within_a_gib(self):
+        out = run_child_within_a_gib("vcdim", "--build", KCNF42_BUILD)
+        assert (out.returncode, out.stdout, out.stderr) == (0, "8\n", "")
+
+    def test_vcdim_of_a_wide_random_class_is_capped_within_a_gib(self, tmp_path):
+        """200 random members on 40 points shatter 621,834 five-sets: the search would run
+        for minutes, so it must stop at the work cap."""
+        n = 40
+        masks = random.Random(n).sample(range(1 << n), 200)
+        path = tmp_path / "class.json"
+        path.write_text(json.dumps({"n": n, "functions": [format(m, f"0{n}b") for m in masks]}))
+        start = time.monotonic()
+        out = run_child_within_a_gib("vcdim", "--input", str(path))
+        assert (out.returncode, out.stdout) == (2, ""), out.stderr
+        assert out.stderr.splitlines() == ["error: VC search is capped at 100000000 steps"]
+        assert time.monotonic() - start < 30
+
     def test_extentures_cap_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(suboplex.classes, "EXTENTURE_MAX_WORK", 1000)
         assert run(capsys, "extentures", "--build", KCNF32_BUILD) == (
@@ -442,6 +460,17 @@ class TestFieldFlag:
         code, _, err = run(capsys, "hdim", "--input", flag_poset_file, "--field", "4")
         assert code == 1 and "prime" in err
 
+    def test_huge_characteristic_exits_2_at_once(self, flag_poset_file):
+        """Trial division would take seconds on this prime; the cap refuses it first."""
+        start = time.monotonic()
+        out = run_child_within_a_gib("hdim", "--input", flag_poset_file, "--field", "10000000000000061")
+        elapsed = time.monotonic() - start
+        assert (out.returncode, out.stdout) == (2, ""), out.stderr
+        assert out.stderr.splitlines() == [
+            "error: field characteristic is capped at 2147483647, got 10000000000000061"
+        ]
+        assert elapsed < 1.0
+
 
 class TestErrors:
     def test_malformed_json(self, capsys, tmp_path):
@@ -449,6 +478,18 @@ class TestErrors:
         path.write_text("{nope")
         code, _, err = run(capsys, "vcdim", "--input", str(path))
         assert code == 1 and "malformed JSON" in err
+
+    def test_deeply_nested_json_is_one_error_line(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        spec = "class:" + "[" * 10_000 + "]" * 10_000
+        assert len(spec.encode()) < 128 * 1024  # one argv string must fit the kernel's limit
+        for origin, source in ((str(path), ["--input", str(path)]), ("--build spec", ["--build", spec])):
+            out = run_child_within_a_gib("vcdim", *source)
+            assert (out.returncode, out.stdout) == (1, ""), out.stderr
+            lines = out.stderr.splitlines()
+            assert len(lines) == 1, out.stderr
+            assert lines[0].startswith(f"error: malformed JSON in {origin}: maximum recursion depth")
 
     def test_inconsistent_widths(self, capsys):
         code, _, err = run(

@@ -8,7 +8,16 @@ import pytest
 
 import suboplex
 from conftest import assert_value_type
-from suboplex.linalg import GF2, GF3, QQ, FieldSpec, ValidationError, rank_from_columns
+from suboplex.errors import CapExceededError
+from suboplex.linalg import (
+    FIELD_MAX_CHARACTERISTIC,
+    GF2,
+    GF3,
+    QQ,
+    FieldSpec,
+    ValidationError,
+    rank_from_columns,
+)
 
 GF5 = FieldSpec(5)
 FIELDS = (GF2, GF3, GF5, QQ)
@@ -82,6 +91,17 @@ class TestFieldSpec:
             FieldSpec(4)
         with pytest.raises(ValidationError, match="field must be a prime or 'Q', got 'x'"):
             FieldSpec.parse("x")
+
+    def test_characteristic_cap(self):
+        assert FIELD_MAX_CHARACTERISTIC == 2**31 - 1
+        assert FieldSpec(2**31 - 1).p == FieldSpec.parse("2147483647").p == 2**31 - 1
+        assert FieldSpec.parse("Q") == QQ
+        for p in (2**31, 10000000000000061, 10**30 + 57):
+            message = f"field characteristic is capped at {2**31 - 1}, got {p}"
+            for make in (FieldSpec, lambda p: FieldSpec.parse(str(p))):
+                with pytest.raises(CapExceededError) as info:
+                    make(p)
+                assert str(info.value) == message
 
 
 class TestGf2:

@@ -9,12 +9,9 @@ cross-checking every fast path.
 
 from .betti import (
     BettiTable,
-    LabeledComplex,
     betti_via_intervals,
     betti_via_mobius,
-    cellular_resolution,
     homological_dimension,
-    verify_acyclic,
 )
 from .bitsets import (
     PartialFunction,
@@ -66,7 +63,6 @@ __all__ = [
     "HomologyProfile",
     "IdealGenerators",
     "Interval",
-    "LabeledComplex",
     "PartialFunction",
     "QQ",
     "SimplicialComplex",
@@ -77,7 +73,6 @@ __all__ = [
     "betti_oracle",
     "betti_via_intervals",
     "betti_via_mobius",
-    "cellular_resolution",
     "class_from_poset",
     "collapse_membership",
     "delta",
@@ -101,6 +96,5 @@ __all__ = [
     "truncated_order_complex",
     "vc_dimension",
     "vc_oracle",
-    "verify_acyclic",
     "warn_if_degenerate",
 ]

@@ -195,7 +195,13 @@ def _shattered_levels(c: FunctionClass) -> list[list[int]]:
                 t = s | bit
                 if t in candidates:
                     continue
-                if all((t & ~(1 << w)) in prev for w in range(n) if t >> w & 1):
+                rest = t
+                while rest:  # each one-smaller subset t - {w}, over the set bits w of t
+                    low = rest & -rest
+                    if t ^ low not in prev:
+                        break
+                    rest ^= low
+                else:
                     candidates.add(t)
         work += len(candidates) * members
         if work > VC_MAX_WORK:

@@ -9,15 +9,17 @@ from suboplex import (
     GF2,
     BettiTable,
     FunctionClass,
-    LabeledComplex,
     SimplicialComplex,
     SquarefreeMonomial,
     Subset,
     SubsetPoset,
     ValidationError,
     intersection_closure,
+    monomial,
+    order_complex,
     reduced_homology,
 )
+from suboplex.bitsets import Value
 from suboplex.complexes import _bits
 
 
@@ -151,6 +153,45 @@ def label_degrees(n: int) -> list[SquarefreeMonomial]:
         for s0 in range(1 << n)
         for s1 in range(1 << n)
     ]
+
+
+class LabeledComplex(Value):
+    """The order complex of a poset with faces labeled by monomials.
+
+    A chain's label is m(min, max), the lcm of its vertex labels; the
+    empty face is labeled 1.
+    """
+
+    _fields = ("poset", "complex", "labels")
+    poset: SubsetPoset
+    complex: SimplicialComplex
+    labels: dict[int, SquarefreeMonomial]
+
+    def __init__(
+        self, poset: SubsetPoset, complex: SimplicialComplex, labels: dict[int, SquarefreeMonomial]
+    ) -> None:
+        self._assign(poset, complex, labels)
+
+
+def cellular_resolution(p: SubsetPoset) -> LabeledComplex:
+    """The labeled order complex that supports a free resolution of the dual ideal.
+
+    ``label_acyclic`` of it is the numeric check of the theorem that
+    ``check --acyclic`` answers from.
+    """
+    if not p.is_intersection_closed():
+        raise ValidationError("cellular resolution requires an intersection-closed poset")
+    k = order_complex(p)
+    labels: dict[int, SquarefreeMonomial] = {}
+    for faces in k.faces_by_dim().values():
+        for f in faces:
+            if f == 0:
+                labels[f] = SquarefreeMonomial.one(p.n)
+            else:
+                lo = (f & -f).bit_length() - 1
+                hi = f.bit_length() - 1
+                labels[f] = monomial(p.elements[lo], p.elements[hi])
+    return LabeledComplex(poset=p, complex=k, labels=labels)
 
 
 def label_acyclic(labeled: LabeledComplex, field=GF2, exhaustive: bool = False) -> bool:

@@ -193,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_arguments(p)
     p.add_argument("--intersection-closed", action="store_true", dest="intersection_closed")
     p.add_argument("--acyclic", action="store_true")
-    p.add_argument("--exhaustive", action="store_true", help="acyclicity over all degrees")
     p.add_argument("--interval-cm", action="store_true", dest="interval_cm")
     p.add_argument("--cm", action="store_true")
     p.set_defaults(func=cli._cmd_check)

@@ -19,7 +19,12 @@ from bundled import (
     u11_u23_graph,
     u11_u23_matrix,
 )
-from conftest import random_class, random_intersection_closed_poset
+from conftest import (
+    cellular_resolution,
+    label_acyclic,
+    random_class,
+    random_intersection_closed_poset,
+)
 from suboplex import (
     GF2,
     GF3,
@@ -41,7 +46,6 @@ from suboplex import (
     truncated_order_complex,
     vc_dimension,
     vc_oracle,
-    verify_acyclic,
 )
 from suboplex.builders import FormulaClassSpec, formula_class
 
@@ -201,7 +205,7 @@ def test_criterion_12_structural_invariants():
             table = betti_via_intervals(poset)
             assert table.total(1) == len(poset.cover_relations()), name
             assert table.projective_dimension <= poset.rank(), name
-            assert verify_acyclic(poset), name
+            assert label_acyclic(cellular_resolution(poset)), name
         bowtie = bowtie_poset()
         assert is_interval_cm(bowtie)
         assert not is_cohen_macaulay(order_complex(bowtie))

@@ -12,24 +12,22 @@ from bundled import (
     u11_u23_flats,
 )
 from conftest import (
+    LabeledComplex,
     assert_value_type,
+    cellular_resolution,
     reference_json_entries,
     interval_chains,
     label_acyclic,
     label_degrees,
     random_intersection_closed_poset,
     reference_interval_complex,
-    refuse_everywhere,
     rp2_with_top,
 )
-import suboplex.betti as betti_module
 from suboplex import (
     GF2,
     GF3,
     QQ,
     BettiTable,
-    CapExceededError,
-    LabeledComplex,
     SimplicialComplex,
     Subset,
     SubsetPoset,
@@ -37,7 +35,6 @@ from suboplex import (
     betti_oracle,
     betti_via_intervals,
     betti_via_mobius,
-    cellular_resolution,
     class_from_poset,
     dual_ideal,
     homological_dimension,
@@ -47,13 +44,12 @@ from suboplex import (
     monomial,
     reduced_homology,
     truncated_order_complex,
-    verify_acyclic,
 )
 from suboplex.bitsets import SquarefreeMonomial
 from suboplex.betti import _hdim_of_poset
 from suboplex.builders import UniformMatroid, formula_class
-from suboplex.complexes import ChainHomology
-from suboplex.io import formula_from_json
+from suboplex.cli import main
+from suboplex.io import formula_from_json, poset_to_json
 
 
 def S(s: str) -> Subset:
@@ -103,101 +99,67 @@ class TestCellularResolution:
             cellular_resolution(p)
 
 
+def check_acyclic(capsys, p: SubsetPoset) -> tuple[int, str, str]:
+    """``check --acyclic`` on ``p``: the exit code, stdout and stderr."""
+    code = main(["check", "--acyclic", "--build", "poset:" + json.dumps(poset_to_json(p))])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
 class TestVerifyAcyclic:
+    """The theorem ``check --acyclic`` answers from, checked label degree by label degree."""
+
     def test_flat_lattice(self):
-        assert verify_acyclic(u11_u23_flats())
+        labeled = cellular_resolution(u11_u23_flats())
+        for field in (GF2, GF3, QQ):
+            assert label_acyclic(labeled, field)
 
     def test_exhaustive_small(self, rng):
         for _ in range(15):
             p = random_intersection_closed_poset(rng, max_n=4)
-            assert verify_acyclic(p, exhaustive=True)
+            assert label_acyclic(cellular_resolution(p), exhaustive=True)
 
     def test_all_fields(self, rng):
         for _ in range(10):
-            p = random_intersection_closed_poset(rng, max_n=4)
+            labeled = cellular_resolution(random_intersection_closed_poset(rng, max_n=4))
             for field in (GF2, GF3, QQ):
-                assert verify_acyclic(p, field)
+                assert label_acyclic(labeled, field)
 
-    def test_matches_the_labeled_complex_reference(self, rng):
+    def test_matches_the_labeled_complex_reference(self, capsys, rng):
+        """``check --acyclic`` says yes wherever the label-by-label scan holds."""
         for t in range(200):
             p = random_intersection_closed_poset(rng, max_n=4)
             labeled = cellular_resolution(p)
             for field in (GF2, GF3, QQ):
-                assert verify_acyclic(p, field) == label_acyclic(labeled, field)
-            if t % 4 == 0:
-                expected = label_acyclic(labeled, GF2, exhaustive=True)
-                assert verify_acyclic(p, exhaustive=True) == expected
+                assert label_acyclic(labeled, field)
+                if t % 4 == 0:
+                    assert label_acyclic(labeled, field, exhaustive=True)
+            assert check_acyclic(capsys, p) == (0, "acyclic: yes\n", "")
 
-    def test_spans_are_the_label_filtered_faces(self, rng, monkeypatch):
-        """Each degree's chains, listed by ``verify_acyclic``, are the faces whose label divides it."""
-        spans: list[int] = []
-        chain_masks = SubsetPoset.chain_masks
-
-        def record(self, within=None):
-            spans.append(within)
-            return chain_masks(self, within)
-
-        monkeypatch.setattr(SubsetPoset, "chain_masks", record)
+    def test_spans_are_the_label_filtered_faces(self, rng):
+        """The proof: the faces whose label divides m(L, U) are the chains of the
+        members between L and U, and those form a cone on the least of them."""
         for _ in range(60):
             p = random_intersection_closed_poset(rng, max_n=4)
             labels = cellular_resolution(p).labels
             nonempty = [(f, lab) for f, lab in labels.items() if f != 0]
-            for exhaustive, degrees in ((False, {lab for _, lab in nonempty}),
-                                        (True, label_degrees(p.n))):
-                expected = {frozenset(f for f, lab in nonempty if lab.divides(b)) for b in degrees}
-                spans.clear()
-                assert verify_acyclic(p, exhaustive=exhaustive)
-                assert len(spans) == len(set(spans))
-                listed = {frozenset(chain_masks(p, span)) - {0} for span in spans}
-                assert listed == expected - {frozenset()}
+            for b in label_degrees(p.n):
+                faces = {f for f, lab in nonempty if lab.divides(b)}
+                lo, hi = ((1 << p.n) - 1) & ~b.support1.bits, b.support0.bits
+                between = [x for x, m in enumerate(p._masks) if lo & m == lo and m & hi == m]
+                span = sum(1 << x for x in between)
+                assert faces == set(p.chain_masks(span)) - {0}
+                if between:
+                    apex = min(between, key=lambda x: p._masks[x].bit_count())
+                    assert all(p._masks[apex] & p._masks[x] == p._masks[apex] for x in between)
+                    assert all(f | 1 << apex in faces for f in faces)
 
-    def test_rejects_non_intersection_closed(self):
+    def test_rejects_non_intersection_closed(self, capsys):
         p = SubsetPoset.from_strings(["10", "01"])
-        with pytest.raises(ValidationError, match="requires an intersection-closed poset"):
-            verify_acyclic(p)
-
-    def test_exhaustive_ground_cap(self):
-        p = SubsetPoset.from_strings(["0000000", "1000000"])
-        assert verify_acyclic(p)
-        with pytest.raises(CapExceededError, match="capped at ground size 6, got 7"):
-            verify_acyclic(p, exhaustive=True)
-
-    def test_reports_a_class(self, monkeypatch):
-        betti = ChainHomology.betti
-        monkeypatch.setattr(
-            ChainHomology, "betti", lambda self, d: 1 if d == 0 else betti(self, d)
-        )
-        assert not verify_acyclic(u11_u23_flats())
-        assert not verify_acyclic(u11_u23_flats(), exhaustive=True)
-
-    def test_face_cap(self, monkeypatch):
-        """kcnf(3,2) has 777,472 faces to list; one over the cap, none is listed."""
-
-        class Listed(Exception):
-            pass
-
-        def refuse(self, within=None):
-            raise Listed
-
-        p = kcnf_3_2()
-        monkeypatch.setattr(SubsetPoset, "chain_masks", refuse)
-        monkeypatch.setattr(betti_module, "ACYCLICITY_MAX_FACES", 777_472)
-        with pytest.raises(Listed):
-            verify_acyclic(p)
-        monkeypatch.setattr(betti_module, "ACYCLICITY_MAX_FACES", 777_471)
-        with pytest.raises(CapExceededError, match="capped at 777471 faces, got 777472"):
-            verify_acyclic(p)
-
-    def test_no_labeled_complex_is_built(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a labeled order complex was built")
-
-        monkeypatch.setattr(SimplicialComplex, "from_faces", classmethod(refuse))
-        refuse_everywhere(monkeypatch, reduced_homology, refuse)
-        refuse_everywhere(monkeypatch, cellular_resolution, refuse)
-        for p in (u11_u23_flats(), UniformMatroid(4, 7).flats()):
-            for field in (GF2, GF3, QQ):
-                assert verify_acyclic(p, field)
+        message = "cellular resolution requires an intersection-closed poset"
+        with pytest.raises(ValidationError, match=message):
+            cellular_resolution(p)
+        assert check_acyclic(capsys, p) == (1, "", f"error: {message}\n")
 
 
 class TestBettiViaIntervals:

@@ -25,7 +25,6 @@ from conftest import (
 )
 from suboplex import SubsetPoset, betti_via_intervals
 from suboplex.cli import VERBS, main, parse_args
-from suboplex.complexes import ChainHomology
 from suboplex.io import poset_to_json
 from references import build_parser
 
@@ -260,23 +259,18 @@ class TestCheck:
         assert code == 2 and err == "error: Cohen-Macaulay check is capped at 1024 faces, got 67108864"
 
     def test_acyclic_builds_no_labeled_complex(self, capsys, monkeypatch):
+        """The answer comes from the theorem: no chain is listed and no homology taken."""
+
         def refuse(*args, **kwargs):
-            raise AssertionError("a labeled order complex was built")
+            raise AssertionError("an acyclicity answer was computed")
 
         monkeypatch.setattr(suboplex.SimplicialComplex, "from_faces", classmethod(refuse))
+        monkeypatch.setattr(SubsetPoset, "chain_masks", refuse)
+        monkeypatch.setattr(SubsetPoset, "interval_orbits", refuse)
         refuse_everywhere(monkeypatch, suboplex.reduced_homology, refuse)
-        refuse_everywhere(monkeypatch, suboplex.cellular_resolution, refuse)
+        refuse_everywhere(monkeypatch, suboplex.complexes._chain_homology, refuse)
         for spec in (U11_U23_BUILD, U47_BUILD, KCNF32_BUILD):
             assert run(capsys, "check", "--acyclic", "--build", spec) == (0, "acyclic: yes", "")
-
-    def test_acyclic_reports_no(self, capsys, monkeypatch, flag_poset_file):
-        betti = ChainHomology.betti
-        monkeypatch.setattr(
-            ChainHomology, "betti", lambda self, d: 1 if d == 0 else betti(self, d)
-        )
-        assert run(capsys, "check", "--acyclic", "--input", flag_poset_file) == (
-            0, "acyclic: no", ""
-        )
 
     def test_acyclic_needs_intersection_closed(self, capsys):
         code, _, err = run(
@@ -285,11 +279,12 @@ class TestCheck:
         assert code == 1
         assert err == "error: cellular resolution requires an intersection-closed poset"
 
-    def test_acyclic_face_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(suboplex.betti, "ACYCLICITY_MAX_FACES", 777_471)
-        code, _, err = run(capsys, "check", "--acyclic", "--build", KCNF32_BUILD)
-        assert code == 2
-        assert err == "error: acyclicity check is capped at 777471 faces, got 777472"
+    def test_acyclic_exhaustive_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "check", "--acyclic", "--exhaustive", "--build", U47_BUILD)
+        assert (code, out) == (1, "")
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: suboplex check ") and "--exhaustive" not in usage
+        assert error == "suboplex check: error: unrecognized arguments: --exhaustive"
 
     def test_intersection_closed_class_builds_no_poset(self, capsys, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
@@ -302,14 +297,20 @@ class TestCheck:
             path.write_text(json.dumps({"n": 3, "functions": functions}))
             code, out, _ = run(capsys, "check", "--intersection-closed", "--input", str(path))
             assert (code, out) == (0, f"intersection-closed: {answer}")
+            code, out, err = run(capsys, "check", "--acyclic", "--input", str(path))
+            if answer == "yes":
+                assert (code, out, err) == (0, "acyclic: yes", "")
+            else:
+                assert (code, out) == (1, "")
+                assert err == "error: cellular resolution requires an intersection-closed poset"
 
-    def test_acyclic_kcnf_4_2_is_capped_within_a_gib(self):
-        """kcnf(4,2) has 2.09e10 faces to list; it must exit 2 before it runs out of memory."""
+    def test_acyclic_kcnf_4_2_within_a_gib(self):
+        """kcnf(4,2) has 2.09e10 chains; the answer lists none of them."""
+        start = time.monotonic()
         out = run_child_within_a_gib("check", "--acyclic", "--build", KCNF42_BUILD)
-        assert out.returncode == 2, out.stderr
-        assert out.stderr.splitlines() == [
-            "error: acyclicity check is capped at 1000000 faces, got 20913485688"
-        ]
+        elapsed = time.monotonic() - start
+        assert (out.returncode, out.stdout, out.stderr) == (0, "acyclic: yes\n", "")
+        assert elapsed < 1.0
 
 
 class TestMatroidSizes:

@@ -22,7 +22,6 @@ SUBOPLEX_EXPORTS = [
     "HomologyProfile",
     "IdealGenerators",
     "Interval",
-    "LabeledComplex",
     "PartialFunction",
     "QQ",
     "SimplicialComplex",
@@ -33,7 +32,6 @@ SUBOPLEX_EXPORTS = [
     "betti_oracle",
     "betti_via_intervals",
     "betti_via_mobius",
-    "cellular_resolution",
     "class_from_poset",
     "collapse_membership",
     "delta",
@@ -57,7 +55,6 @@ SUBOPLEX_EXPORTS = [
     "truncated_order_complex",
     "vc_dimension",
     "vc_oracle",
-    "verify_acyclic",
     "warn_if_degenerate",
 ]
 

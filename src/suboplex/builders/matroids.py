@@ -78,7 +78,7 @@ class Matroid:
 
     def flats(self) -> SubsetPoset:
         """The lattice of flats, built level by level from the bottom flat
-        through ``_cover_masks``."""
+        through ``_cover_masks``; the member cap is checked at each new flat."""
         if self.m > FLATS_MAX_GROUND:
             raise CapExceededError(
                 f"flat enumeration is capped at ground size {FLATS_MAX_GROUND}, got {self.m}"
@@ -92,8 +92,8 @@ class Matroid:
                 for g in self._cover_masks(f):
                     if g not in collected:
                         collected.add(g)
+                        check_members(len(collected), "flat enumeration")
                         fresh.append(g)
-            check_members(len(collected), "flat enumeration")
             frontier = fresh
         return SubsetPoset.from_masks(self.m, collected, self.symmetry)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from typing import Iterable, Sequence
 
-from .bitsets import PartialFunction, SquarefreeMonomial, Subset, Value, check_ground
+from .bitsets import PartialFunction, SquarefreeMonomial, Subset, Value, _bits, check_ground
 from .errors import CapExceededError, ValidationError
 from .posets import SubsetPoset, and_closed
 from .complexes import SimplicialComplex  # kept after .posets: linalg first added 0.1 MB of RSS
@@ -223,6 +223,61 @@ def shatter_complex(c: FunctionClass):
     return SimplicialComplex.from_faces(c.n, faces)
 
 
+def _positions(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending, in time linear in its width.
+
+    ``_bits`` takes a big-int step per set bit, so it is quadratic on a
+    mask over a whole family.
+    """
+    digits = format(mask, "b")[::-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
+def _literal_columns(sets: list[int], width: int) -> list[int]:
+    """Column l has bit j set iff literal l is in ``sets[j]``; one per literal."""
+    rows = [format(t, f"0{width}b") for t in reversed(sets)]
+    return [int("".join(column), 2) for column in zip(*rows)][::-1]
+
+
+def _blocked_literals(holds: list[int], hit: int, edge: int, miss: list[int]) -> list[int]:
+    """For each set t of ``miss``, the edge literals v with a hit set under t | v.
+
+    A hit set k lies under t | v iff v is k's only literal outside t.
+    As t misses the edge, k then has v as its one edge literal and its
+    other literals in t.  ``single`` masks the hit sets with one edge
+    literal; one pass over the literals outside t and the edge leaves
+    those with no other literal outside t, for every v at once.
+    """
+    one = two = 0  # the hit sets with at least one, at least two edge literals
+    for v in _bits(edge):
+        h = holds[v] & hit
+        two |= one & h
+        one |= h
+    single = hit & ~two
+    off, solo = [], []
+    for l, h in enumerate(holds):
+        if h & single:
+            (solo if edge >> l & 1 else off).append((1 << l, h & single))
+    blocked = []
+    for t in miss:
+        outside = 0
+        for bit, h in off:
+            if not t & bit:
+                outside |= h
+        inside = single ^ outside
+        b = 0
+        for bit, h in solo:
+            if h & inside:
+                b |= bit
+        blocked.append(b)
+    return blocked
+
+
 def extentures(c: FunctionClass) -> tuple[PartialFunction, ...]:
     """All minimal partial functions extending to no member of the class.
 
@@ -234,32 +289,69 @@ def extentures(c: FunctionClass) -> tuple[PartialFunction, ...]:
     ascending mask order.  That order is part of the algorithm, not a
     knob: it keeps the family near the size of the output.  Results are
     cached on the class and sorted by (domain size, ones, zeros).
-    ``CapExceededError`` is raised before the work (members split, subset
-    tests, candidates) passes ``EXTENTURE_MAX_WORK`` or the family
-    passes ``EXTENTURE_MAX_FAMILY`` sets.
+
+    The family is kept as literal columns: ``sets`` lists every set it
+    has held, by position, ``holds[l]`` masks the positions of the sets
+    containing literal l, and ``alive`` masks the live ones.  Dropped
+    sets stay in the columns until they outnumber the live ones, and
+    then the live ones are renumbered.  A member's step splits the
+    family with n ORs of columns.  Candidates t | v (t missing the edge,
+    v in it) never lie under each other and no hit set lies above one,
+    so t | v is kept iff no hit set lies under it; ``_blocked_literals``
+    finds, for every t at once, the v where one does.
+
+    ``CapExceededError`` is raised before the work (members split,
+    subset tests, candidates) passes ``EXTENTURE_MAX_WORK`` or the
+    family passes ``EXTENTURE_MAX_FAMILY`` sets.  Both are checked once
+    per edge literal in ascending order, and a literal's subset tests
+    are the sets missing the edge times the hit sets containing it, as
+    if each were made alone.
     """
     if c._extentures is not None:
         return c._extentures
     n = c.n
     full = (1 << n) - 1
-    family, work = [0], 0
+    sets = [0]  # every set the family has held, by position
+    holds = [0] * (2 * n)
+    alive, size, work = 1, 1, 0
     for a in c._masks:
         edge = full & ~a | a << n
-        hit = [t for t in family if t & edge]
-        miss = [t for t in family if not t & edge]
-        work += len(family)
+        lits = _bits(edge)
+        hit = 0
+        for v in lits:
+            hit |= holds[v]
+        hit &= alive
+        miss = [sets[p] for p in _positions(alive ^ hit)]
+        nhit, nmiss = hit.bit_count(), len(miss)
+        work += size
         grown: list[int] = []
-        for v in (1 << i for i in range(2 * n) if edge >> i & 1):
-            # Candidates t | v never cover each other and no kept k lies above
-            # one (k would contain t); k lies under t | v iff v in k, k ^ v <= t.
-            under = [k ^ v for k in hit if k & v]
-            work += len(hit) + len(miss) * (len(under) + 1)
+        blocked: list[int] | None = None
+        for v in lits:
+            work += nhit + nmiss * ((holds[v] & hit).bit_count() + 1)
             if work > EXTENTURE_MAX_WORK:
                 raise CapExceededError(f"extenture search is capped at {EXTENTURE_MAX_WORK} steps")
-            if len(hit) + len(grown) + len(miss) > EXTENTURE_MAX_FAMILY:
+            if nhit + len(grown) + nmiss > EXTENTURE_MAX_FAMILY:
                 raise CapExceededError(f"extenture search is capped at {EXTENTURE_MAX_FAMILY} sets")
-            grown += [t | v for t in miss if all(u & ~t for u in under)]
-        family = hit + grown
+            if not miss:
+                continue
+            if blocked is None:
+                blocked = _blocked_literals(holds, hit, edge, miss)
+            bit = 1 << v
+            grown += [t | bit for t, b in zip(miss, blocked) if not b & bit]
+        alive = hit
+        size = nhit + len(grown)
+        if grown:
+            top = len(sets)
+            for l, column in enumerate(_literal_columns(grown, 2 * n)):
+                holds[l] |= column << top
+            alive |= ((1 << len(grown)) - 1) << top
+            sets += grown
+        if len(sets) > 2 * size:  # more dropped sets than live ones: renumber
+            sets = [sets[p] for p in _positions(alive)]
+            holds = _literal_columns(sets, 2 * n)
+            alive = (1 << size) - 1
+    family = [sets[p] for p in _positions(alive)]
+    del sets, holds  # freed before the output is built, which sets the peak
     found = sorted((t.bit_count(), t & full, t >> n) for t in family if not t & t >> n)
     c._extentures = tuple(
         PartialFunction(Subset(n, ones), Subset(n, zeros)) for _, ones, zeros in found

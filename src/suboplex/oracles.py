@@ -22,6 +22,7 @@ from .linalg import GF2, FieldSpec
 
 ORACLE_MAX_VARIABLES = 12
 VC_ORACLE_MAX_GROUND = 20
+_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def upper_koszul_slice(member: bytearray, b: int) -> list[int]:
@@ -30,16 +31,44 @@ def upper_koszul_slice(member: bytearray, b: int) -> list[int]:
     ``member`` is the ideal-membership table over squarefree monomial
     masks.  The family is closed under taking subsets (removing less
     keeps the quotient a multiple of a generator), and it is null
-    exactly when b itself is not in the ideal.
+    exactly when b itself is not in the ideal, so it is listed by a
+    depth-first search from the empty face: tau grows only by bits of b
+    above its highest bit, and a branch stops where b minus tau leaves
+    the ideal.
     """
-    faces = []
-    tau = b
-    while True:
-        if member[b ^ tau]:
-            faces.append(tau)
-        if tau == 0:
-            return faces
-        tau = (tau - 1) & b
+    if not member[b]:
+        return []
+    faces = [0]
+    stack = [0]
+    while stack:
+        tau = stack.pop()
+        rest = b >> tau.bit_length() << tau.bit_length()
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if member[b ^ tau ^ low]:
+                faces.append(tau | low)
+                stack.append(tau | low)
+    return faces
+
+
+def _membership_table(variables: int, gmasks: list[int]) -> bytearray:
+    """Byte m is 1 iff some generator mask divides the monomial mask m.
+
+    One int over all 2^variables monomials starts at the generators and
+    is closed under supersets one variable at a time: the monomials
+    without variable j, shifted by 2^j, gain it.
+    """
+    size = 1 << variables
+    table = 0
+    for g in gmasks:
+        table |= 1 << g
+    for j in range(variables):
+        step = 1 << j
+        block = (1 << step) - 1
+        without = block * (((1 << size) - 1) // ((1 << 2 * step) - 1))
+        table |= (table & without) << step
+    return bytearray(format(table, f"0{size}b")[::-1], "ascii").translate(_ZERO_ONE)
 
 
 def betti_oracle(gens: IdealGenerators, fieldspec: FieldSpec = GF2) -> BettiTable:
@@ -49,25 +78,18 @@ def betti_oracle(gens: IdealGenerators, fieldspec: FieldSpec = GF2) -> BettiTabl
     squarefree multidegree b is visited; beta_{i,b} is the (i-1)-st
     reduced homology dimension of the slice K^b, whose faces come from
     the membership table alone.  Membership of a monomial in the ideal
-    (some generator divides it) is tabulated once up front.  Capped at
-    2n <= 12 variables.
+    (some generator divides it) is tabulated once up front, by
+    ``_membership_table``.  Capped at 2n <= 12 variables, checked first.
     """
     n = gens.n
     if 2 * n > ORACLE_MAX_VARIABLES:
         raise CapExceededError(
             f"Betti oracle is capped at {ORACLE_MAX_VARIABLES} variables, got {2 * n}"
         )
-    gmasks = [g.support0.bits | g.support1.bits << n for g in gens]
-    size = 1 << 2 * n
-    member = bytearray(size)
-    for m in range(size):
-        for g in gmasks:
-            if g & m == g:
-                member[m] = 1
-                break
+    member = _membership_table(2 * n, [g.support0.bits | g.support1.bits << n for g in gens])
     full = (1 << n) - 1
     cells: dict[tuple[int, int, int], int] = {}
-    for b in range(size):
+    for b in range(len(member)):
         if not member[b]:
             continue  # K^b has no faces at all: nothing in this degree
         chain = _chain_homology(upper_koszul_slice(member, b), fieldspec)

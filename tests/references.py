@@ -3,19 +3,35 @@
 Each builds its answer the straightforward way: comparability by testing
 every pair of members, covers by testing each comparable pair for an
 element in between, symmetry generators by mapping each member bit by bit, flats by closing every flat plus one element through
-rank calls, and Betti tables keyed by ``SquarefreeMonomial`` with the
-text and JSON renderings read from those keys.  The command line is
-parsed by argparse, as it was before the CLI's verb table.
+rank calls, Betti tables keyed by ``SquarefreeMonomial`` with the
+text and JSON renderings read from those keys, extentures by Berge's
+loop over lists of sets, and the Betti oracle's slices by testing every
+subset of the degree.  The command line is parsed by argparse, as it
+was before the CLI's verb table.
 """
 
 from __future__ import annotations
 
 import argparse
 
+import suboplex.classes
 from suboplex import cli
-from suboplex import SquarefreeMonomial, Subset, SubsetPoset, ValidationError, monomial
+from suboplex import (
+    BettiTable,
+    CapExceededError,
+    FieldSpec,
+    FunctionClass,
+    IdealGenerators,
+    PartialFunction,
+    SquarefreeMonomial,
+    Subset,
+    SubsetPoset,
+    ValidationError,
+    monomial,
+)
 from suboplex.builders import Matroid
-from suboplex.complexes import interval_homology, interval_is_cm
+from suboplex.complexes import _chain_homology, interval_homology, interval_is_cm
+from suboplex.oracles import ORACLE_MAX_VARIABLES
 from suboplex.posets import check_members
 
 
@@ -79,12 +95,84 @@ def reference_flats(m: Matroid) -> set[int]:
             for e in range(m.m):
                 if not f >> e & 1:
                     g = Matroid.closure_mask(m, f | 1 << e)
-                    if g not in collected:
+                    if g not in collected and g not in fresh:
                         fresh.add(g)
+                        check_members(len(collected) + len(fresh), "flat enumeration")
         collected |= fresh
-        check_members(len(collected), "flat enumeration")
         frontier = fresh
     return collected
+
+
+def reference_extentures(c: FunctionClass) -> tuple[PartialFunction, ...]:
+    """``extentures`` by Berge's loop over lists, each subset test made alone.
+
+    Both caps are read from ``suboplex.classes`` at each call, so a test
+    can lower them; nothing is cached on the class.
+    """
+    n = c.n
+    full = (1 << n) - 1
+    family, work = [0], 0
+    for a in c._masks:
+        edge = full & ~a | a << n
+        hit = [t for t in family if t & edge]
+        miss = [t for t in family if not t & edge]
+        work += len(family)
+        grown: list[int] = []
+        for v in (1 << i for i in range(2 * n) if edge >> i & 1):
+            # Candidates t | v never cover each other and no kept k lies above
+            # one (k would contain t); k lies under t | v iff v in k, k ^ v <= t.
+            under = [k ^ v for k in hit if k & v]
+            work += len(hit) + len(miss) * (len(under) + 1)
+            max_work = suboplex.classes.EXTENTURE_MAX_WORK
+            if work > max_work:
+                raise CapExceededError(f"extenture search is capped at {max_work} steps")
+            max_family = suboplex.classes.EXTENTURE_MAX_FAMILY
+            if len(hit) + len(grown) + len(miss) > max_family:
+                raise CapExceededError(f"extenture search is capped at {max_family} sets")
+            grown += [t | v for t in miss if all(u & ~t for u in under)]
+        family = hit + grown
+    found = sorted((t.bit_count(), t & full, t >> n) for t in family if not t & t >> n)
+    return tuple(PartialFunction(Subset(n, ones), Subset(n, zeros)) for _, ones, zeros in found)
+
+
+def reference_membership(variables: int, gmasks: list[int]) -> bytearray:
+    """The ideal-membership table, every monomial tested against every generator."""
+    member = bytearray(1 << variables)
+    for m in range(len(member)):
+        member[m] = any(g & m == g for g in gmasks)
+    return member
+
+
+def reference_koszul_slice(member: bytearray, b: int) -> list[int]:
+    """Faces of K^b: every subset tau of b, kept when b minus tau is in the ideal."""
+    faces = []
+    tau = b
+    while True:
+        if member[b ^ tau]:
+            faces.append(tau)
+        if tau == 0:
+            return faces
+        tau = (tau - 1) & b
+
+
+def reference_betti_oracle(gens: IdealGenerators, fieldspec: FieldSpec) -> BettiTable:
+    """``betti_oracle`` from ``reference_membership`` and ``reference_koszul_slice``."""
+    n = gens.n
+    if 2 * n > ORACLE_MAX_VARIABLES:
+        raise CapExceededError(
+            f"Betti oracle is capped at {ORACLE_MAX_VARIABLES} variables, got {2 * n}"
+        )
+    member = reference_membership(2 * n, [g.support0.bits | g.support1.bits << n for g in gens])
+    cells: dict[tuple[int, int, int], int] = {}
+    for b in range(len(member)):
+        if not member[b]:
+            continue
+        chain = _chain_homology(reference_koszul_slice(member, b), fieldspec)
+        for d in chain.faces:
+            v = chain.betti(d)
+            if v:
+                cells[(d + 1, b & (1 << n) - 1, b >> n)] = v
+    return BettiTable(n, cells)
 
 
 Entries = dict[tuple[int, SquarefreeMonomial], int]

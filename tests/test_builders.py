@@ -132,12 +132,13 @@ class TestLatticeOfFlats:
         for name, m in bundled_matroids().items():
             assert m.flats().rank() == m.full_rank, name
 
-    def test_member_cap_after_each_level(self, monkeypatch):
+    def test_member_cap_at_each_flat(self, monkeypatch):
         monkeypatch.setattr(suboplex.posets, "POSET_MAX_MEMBERS", 23)
         assert len(UniformMatroid(3, 6).flats()) == 1 + 6 + 15 + 1
-        monkeypatch.setattr(suboplex.posets, "POSET_MAX_MEMBERS", 21)  # passed before the top
-        with pytest.raises(CapExceededError, match="enumeration is capped at 21 members, got 22"):
-            UniformMatroid(3, 6).flats()
+        for cap in (21, 10):  # passed before the top, and inside the level of 15 two-point flats
+            monkeypatch.setattr(suboplex.posets, "POSET_MAX_MEMBERS", cap)
+            with pytest.raises(CapExceededError, match=f"capped at {cap} members, got {cap + 1}$"):
+                UniformMatroid(3, 6).flats()
 
     def test_cap(self):
         with pytest.raises(CapExceededError):

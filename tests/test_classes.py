@@ -25,6 +25,7 @@ from suboplex import (
 )
 from suboplex.builders import FormulaClassSpec, formula_class
 from suboplex.oracles import betti_oracle, vc_oracle
+from references import reference_extentures
 
 
 def S(s: str) -> Subset:
@@ -285,6 +286,42 @@ class TestExtentures:
     def test_past_ground_size_16(self):
         c = FunctionClass.from_masks(20, [0, (1 << 20) - 1])
         assert len(extentures(c)) == 20 * 19
+
+    def test_matches_the_list_reference(self, rng):
+        """200 classes on up to 10 points: full classes, and every third
+        random class with one or two coordinates forced constant."""
+        classes = [FunctionClass.full_class(n) for n in (1, 4, 7)]
+        while len(classes) < 200:
+            n = rng.randint(1, 10)
+            masks = set(rng.sample(range(1 << n), rng.randint(1, min(1 << n, 40))))
+            if len(classes) % 3 == 0:
+                for _ in range(rng.randint(1, 2)):
+                    bit = 1 << rng.randrange(n)
+                    masks = {m | bit for m in masks} if rng.random() < 0.5 else {m & ~bit for m in masks}
+            classes.append(FunctionClass.from_masks(n, masks))
+        for c in classes:
+            assert extentures(c) == reference_extentures(c)
+        assert sum(bool(c.constant_coordinates()) for c in classes) >= 60
+
+    def test_caps_match_the_list_reference(self, monkeypatch, rng):
+        """Under random small caps both raise the same error or give the same answer."""
+
+        def outcome(search, c):
+            try:
+                return search(c)
+            except CapExceededError as e:
+                return str(e)
+
+        kinds = set()
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            c = FunctionClass.from_masks(n, rng.sample(range(1 << n), rng.randint(1, min(1 << n, 30))))
+            monkeypatch.setattr(suboplex.classes, "EXTENTURE_MAX_WORK", int(10 ** rng.uniform(0, 4.5)))
+            monkeypatch.setattr(suboplex.classes, "EXTENTURE_MAX_FAMILY", int(10 ** rng.uniform(0, 2.5)))
+            got = outcome(extentures, c)
+            assert got == outcome(reference_extentures, c)
+            kinds.add(got.split()[-1] if isinstance(got, str) else "answer")
+        assert kinds == {"steps", "sets", "answer"}
 
     def test_work_cap(self, monkeypatch):
         monkeypatch.setattr(suboplex.classes, "EXTENTURE_MAX_WORK", 100)

@@ -370,9 +370,23 @@ class TestOtherVerbs:
         assert code == 0 and out.splitlines() == ["00", "11"]
 
     def test_extentures_kcnf_4_2_within_a_gib(self):
+        start = time.monotonic()
         out = run_child_within_a_gib("extentures", "--build", KCNF42_BUILD)
         assert out.returncode == 0, out.stderr
         assert len(out.stdout.splitlines()) == 240
+        assert time.monotonic() - start < 2.0
+
+    def test_extentures_of_a_random_class_on_14_points_within_a_gib(self, tmp_path):
+        """100 random members on 14 points: the answer has 14,569 lines."""
+        n = 14
+        masks = random.Random(n).sample(range(1 << n), 100)
+        path = tmp_path / "class.json"
+        path.write_text(json.dumps({"n": n, "functions": [format(m, f"0{n}b") for m in masks]}))
+        start = time.monotonic()
+        out = run_child_within_a_gib("extentures", "--input", str(path))
+        assert (out.returncode, out.stderr) == (0, "")
+        assert len(out.stdout.splitlines()) == 14_569
+        assert time.monotonic() - start < 2.0
 
     def test_vcdim_kcnf_4_2_within_a_gib(self):
         out = run_child_within_a_gib("vcdim", "--build", KCNF42_BUILD)
@@ -572,7 +586,7 @@ class TestErrors:
         [
             (
                 'matroid:{"type":"uniform","k":16,"m":16}',
-                "error: flat enumeration is capped at 20000 members, got 26333",
+                "error: flat enumeration is capped at 20000 members, got 20001",
             ),
             (
                 'formula:{"type":"kcnf","d":4,"k":3}',
@@ -806,7 +820,7 @@ def test_degenerate_class_warning_reaches_stderr():
             + ", ".join(map(repr, VERBS)) + ")",
         ]),
         (["build", "--build", 'matroid:{"type":"uniform","k":16,"m":16}'], 2, "",
-         ["error: flat enumeration is capped at 20000 members, got 26333"]),
+         ["error: flat enumeration is capped at 20000 members, got 20001"]),
         (["--help"], 0, "usage: suboplex [-h] {", []),
         (["betti", "--help"], 0, "usage: suboplex betti [-h]", []),
     ],

@@ -1,7 +1,8 @@
 import pytest
 
-from bundled import U11_U23_BETTI_TEXT, delta_class, u11_u23_class
+from bundled import U11_U23_BETTI_TEXT, bundled_posets, delta_class, u11_u23_class
 from conftest import random_class, refuse_everywhere
+from references import reference_betti_oracle, reference_koszul_slice, reference_membership
 from suboplex import (
     GF2,
     GF3,
@@ -25,6 +26,7 @@ from suboplex import (
     vc_dimension,
     vc_oracle,
 )
+from suboplex.oracles import ORACLE_MAX_VARIABLES, _membership_table, upper_koszul_slice
 
 
 def mono(n: int, s0: str, s1: str) -> SquarefreeMonomial:
@@ -75,6 +77,39 @@ class TestBettiOracle:
         gens = dual_ideal(FunctionClass.from_masks(7, [0]))
         with pytest.raises(CapExceededError):
             betti_oracle(gens)
+
+
+class TestKoszulSlices:
+    def test_slices_match_the_subset_scan(self, rng):
+        """Every degree b of 40 random ideals on up to 10 variables."""
+        outside = 0
+        for _ in range(40):
+            variables = 2 * rng.randint(1, 5)
+            gmasks = [rng.getrandbits(variables) for _ in range(rng.randint(1, 6))]
+            member = reference_membership(variables, gmasks)
+            assert _membership_table(variables, gmasks) == member
+            for b in range(1 << variables):
+                faces = upper_koszul_slice(member, b)
+                assert len(set(faces)) == len(faces)
+                assert sorted(faces) == sorted(reference_koszul_slice(member, b))
+                if not member[b]:
+                    assert faces == []
+                    outside += 1
+        assert outside
+
+    @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+    def test_bundled_tables_match_the_reference(self, field):
+        """The dual ideal of every bundled poset within the oracle's cap, and
+        the suboplex ideal up to ground size 4 (at 6 it takes seconds over Q)."""
+        checked = 0
+        for p in bundled_posets().values():
+            if 2 * p.n > ORACLE_MAX_VARIABLES:
+                continue
+            c = class_from_poset(p)
+            for gens in (dual_ideal(c), suboplex_ideal(c))[: 2 if p.n <= 4 else 1]:
+                assert betti_oracle(gens, field) == reference_betti_oracle(gens, field)
+                checked += 1
+        assert checked >= 40
 
 
 class TestRegularityOracle:

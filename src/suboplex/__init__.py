@@ -5,96 +5,69 @@ function classes and their squarefree ideals, inclusion posets with
 Moebius functions, order complexes with exact reduced homology over a
 configurable field, multigraded Betti tables, and brute-force oracles
 cross-checking every fast path.
+
+Importing the package compiles and runs none of its modules but
+``builders``' small ``__init__``.  Each submodule is put in
+``sys.modules`` and in its package's namespace through
+``importlib.util.LazyLoader``, and runs on the first read of one of its
+attributes; the public names below are served from their modules by a
+module ``__getattr__`` (PEP 562).  So a CLI call compiles only the
+modules its verb reaches: a formula ``vcdim``, ``mobius`` or ``build``
+call compiles 10 of the 15.  A tool that reads a module's attributes
+(the benchmark's tracer, ``vars`` of each loaded module) runs it first.
+On Python 3.11 ``LazyLoader`` takes no lock, so a threaded program
+should read the names it uses before it starts its threads.
 """
 
-from .betti import (
-    BettiTable,
-    betti_via_intervals,
-    betti_via_mobius,
-    homological_dimension,
-)
-from .bitsets import (
-    PartialFunction,
-    SquarefreeMonomial,
-    Subset,
-    delta,
-    intersect,
-    monomial,
-)
-from .classes import (
-    FunctionClass,
-    IdealGenerators,
-    class_from_poset,
-    collapse_membership,
-    dual_ideal,
-    extentures,
-    flip_class,
-    is_shattered,
-    shatter_complex,
-    suboplex_ideal,
-    vc_dimension,
-    warn_if_degenerate,
-)
-from .complexes import (
-    HomologyProfile,
-    SimplicialComplex,
-    interval_homology,
-    is_cohen_macaulay,
-    is_interval_cm,
-    order_complex,
-    reduced_euler_characteristic,
-    reduced_homology,
-    truncated_order_complex,
-)
-from .errors import CapExceededError, ValidationError
-from .linalg import GF2, GF3, QQ, FieldSpec
-from .oracles import betti_oracle, regularity_oracle, vc_oracle
-from .posets import Interval, SubsetPoset, intersection_closure
+import sys
+from importlib.machinery import PathFinder
+from importlib.util import LazyLoader, module_from_spec
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BettiTable",
-    "CapExceededError",
-    "FieldSpec",
-    "FunctionClass",
-    "GF2",
-    "GF3",
-    "HomologyProfile",
-    "IdealGenerators",
-    "Interval",
-    "PartialFunction",
-    "QQ",
-    "SimplicialComplex",
-    "SquarefreeMonomial",
-    "Subset",
-    "SubsetPoset",
-    "ValidationError",
-    "betti_oracle",
-    "betti_via_intervals",
-    "betti_via_mobius",
-    "class_from_poset",
-    "collapse_membership",
-    "delta",
-    "dual_ideal",
-    "extentures",
-    "flip_class",
-    "homological_dimension",
-    "intersect",
-    "intersection_closure",
-    "interval_homology",
-    "is_cohen_macaulay",
-    "is_interval_cm",
-    "is_shattered",
-    "monomial",
-    "order_complex",
-    "reduced_euler_characteristic",
-    "reduced_homology",
-    "regularity_oracle",
-    "shatter_complex",
-    "suboplex_ideal",
-    "truncated_order_complex",
-    "vc_dimension",
-    "vc_oracle",
-    "warn_if_degenerate",
-]
+
+def _lazy_package(namespace: dict, exports: dict[str, tuple[str, ...]]):
+    """Register each submodule named in ``exports`` unrun; serve its exports by name.
+
+    ``exports`` maps a submodule to the public names it defines.  Returns
+    the package's ``__all__``, ``__getattr__`` and ``__dir__``.
+    """
+    package = namespace["__name__"]
+    home = {name: module for module, names in exports.items() for name in names}
+    for module in exports:
+        spec = PathFinder.find_spec(f"{package}.{module}", namespace["__path__"])
+        spec.loader = LazyLoader(spec.loader)
+        namespace[module] = sys.modules[spec.name] = module_from_spec(spec)
+        spec.loader.exec_module(namespace[module])
+
+    def __getattr__(name: str):
+        if name not in home:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        return getattr(namespace[home[name]], name)
+
+    return sorted(home), __getattr__, lambda: sorted({*namespace, *home})
+
+
+__all__, __getattr__, __dir__ = _lazy_package(globals(), {
+    "betti": ("BettiTable", "betti_via_intervals", "betti_via_mobius", "homological_dimension"),
+    "bitsets": (
+        "PartialFunction", "SquarefreeMonomial", "Subset", "delta", "intersect", "monomial",
+    ),
+    "classes": (
+        "FunctionClass", "IdealGenerators", "class_from_poset", "collapse_membership",
+        "dual_ideal", "extentures", "flip_class", "is_shattered", "shatter_complex",
+        "suboplex_ideal", "vc_dimension", "warn_if_degenerate",
+    ),
+    "complexes": (
+        "HomologyProfile", "SimplicialComplex", "interval_homology", "is_cohen_macaulay",
+        "is_interval_cm", "order_complex", "reduced_euler_characteristic", "reduced_homology",
+        "truncated_order_complex",
+    ),
+    "errors": ("CapExceededError", "ValidationError"),
+    "io": (),
+    "linalg": ("GF2", "GF3", "QQ", "FieldSpec"),
+    "oracles": ("betti_oracle", "regularity_oracle", "vc_oracle"),
+    "posets": ("Interval", "SubsetPoset", "intersection_closure"),
+})
+
+from . import builders  # noqa: E402  (registers its own submodules the same way)

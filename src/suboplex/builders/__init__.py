@@ -1,29 +1,15 @@
 """Constructors for the standard example families: matroids, cell
-complexes, and Boolean-formula classes."""
+complexes, and Boolean-formula classes.
 
-from .cells import CellComplexInput, cube_complex, cube_faces, face_poset, simplex_input
-from .formulas import FormulaClassSpec, formula_class
-from .matroids import (
-    DirectSumMatroid,
-    GraphicMatroid,
-    LinearMatroid,
-    Matroid,
-    MinorMatroid,
-    UniformMatroid,
-)
+Each submodule runs on first use, as in the ``suboplex`` package."""
 
-__all__ = [
-    "CellComplexInput",
-    "DirectSumMatroid",
-    "FormulaClassSpec",
-    "GraphicMatroid",
-    "LinearMatroid",
-    "Matroid",
-    "MinorMatroid",
-    "UniformMatroid",
-    "cube_complex",
-    "cube_faces",
-    "face_poset",
-    "formula_class",
-    "simplex_input",
-]
+from .. import _lazy_package
+
+__all__, __getattr__, __dir__ = _lazy_package(globals(), {
+    "cells": ("CellComplexInput", "cube_complex", "cube_faces", "face_poset", "simplex_input"),
+    "formulas": ("FormulaClassSpec", "formula_class"),
+    "matroids": (
+        "DirectSumMatroid", "GraphicMatroid", "LinearMatroid", "Matroid", "MinorMatroid",
+        "UniformMatroid",
+    ),
+})

@@ -25,7 +25,6 @@ from ..classes import FunctionClass, class_from_poset
 from ..errors import CapExceededError, ValidationError
 from ..posets import SubsetPoset, intersection_closure
 from .cells import cube_symmetry
-from .matroids import LinearMatroid
 
 KCNF_MAX_VARIABLES = 4
 
@@ -115,11 +114,15 @@ def formula_class(spec: FormulaClassSpec) -> tuple[FunctionClass, SubsetPoset]:
     elif spec.variant == "parity_conj":
         if d > 4:
             raise CapExceededError(f"parity builder is capped at d <= 4, got {d}")
+        from .matroids import LinearMatroid
+
         columns = [tuple(v >> j & 1 for j in range(d)) for v in range(1 << d)]
         poset = LinearMatroid(2, columns, cube_symmetry(d, reflect=False)).flats()
     else:  # poly_conj
         if d > 4:
             raise CapExceededError(f"polynomial builder is capped at d <= 4, got {d}")
+        from .matroids import LinearMatroid
+
         monomial_sets = [
             u
             for size in range(spec.k + 1)

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 from .bitsets import PartialFunction, SquarefreeMonomial, Subset, Value, _bits, check_ground
 from .errors import CapExceededError, ValidationError
 from .posets import SubsetPoset, and_closed
-from .complexes import SimplicialComplex  # kept after .posets: linalg first added 0.1 MB of RSS
 
 EXTENTURE_MAX_WORK = 500_000_000
 EXTENTURE_MAX_FAMILY = 1_000_000
@@ -219,6 +218,8 @@ def vc_dimension(c: FunctionClass) -> int:
 
 def shatter_complex(c: FunctionClass):
     """The simplicial complex of all shattered subsets of [n]."""
+    from .complexes import SimplicialComplex
+
     faces = [u for level in _shattered_levels(c) for u in level]
     return SimplicialComplex.from_faces(c.n, faces)
 

@@ -31,6 +31,11 @@ skipping the interpreter's teardown (the final collection and module
 clearing), which took longer than many calls' own work.  A closed stdout
 pipe ends the call with exit 1 and no traceback; any other uncaught
 exception leaves through the interpreter as usual, traceback and exit 1.
+
+The commands reach the package's functions as attributes of their
+modules, read at call time, so a call runs only the modules its verb
+and input use (the package docstring says how), and a wrapper set on a
+module attribute (the tracer's) is the one called.
 """
 
 from __future__ import annotations
@@ -38,54 +43,41 @@ from __future__ import annotations
 import json
 import os
 import sys
-from types import SimpleNamespace
-from typing import Any, Container, NoReturn
+from types import ModuleType, SimpleNamespace
+from typing import TYPE_CHECKING, Any, Container, NoReturn
 
+from . import betti, builders, classes, complexes, linalg, oracles, posets
 from . import io as sio
-from .betti import (
-    BettiTable,
-    betti_via_intervals,
-    betti_via_mobius,
-    homological_dimension,
-)
 from .bitsets import Subset, _bits, is_int
-from .builders import cube_complex, face_poset, formula_class
-from .builders.formulas import VARIANTS
-from .classes import (
-    FunctionClass,
-    class_from_poset,
-    dual_ideal,
-    extentures,
-    is_shattered,
-    shatter_complex,
-    suboplex_ideal,
-    vc_dimension,
-    warn_if_degenerate,
-)
-from .complexes import SimplicialComplex, is_cohen_macaulay, is_interval_cm
 from .errors import CapExceededError, ValidationError
-from .linalg import FieldSpec
-from .oracles import betti_oracle, regularity_oracle, vc_oracle
-from .posets import SubsetPoset
+
+if TYPE_CHECKING:
+    _Input = posets.SubsetPoset | classes.FunctionClass | complexes.SimplicialComplex
 
 BUILD_KINDS = ("poset", "class", "matroid", "cube", "cells", "formula", "complex")
 
 
-_Input = SubsetPoset | FunctionClass | SimplicialComplex
+def _is(loaded: _Input, module: ModuleType, cls: str) -> bool:
+    """``isinstance(loaded, module.<cls>)``, leaving a lazy ``module`` unrun.
+
+    A lazy module's type turns into ``ModuleType`` when it runs, and no
+    instance of its classes exists before that.
+    """
+    return type(module) is ModuleType and isinstance(loaded, getattr(module, cls))
 
 
-def _as_class(loaded: _Input) -> FunctionClass:
-    if isinstance(loaded, FunctionClass):
+def _as_class(loaded: _Input) -> classes.FunctionClass:
+    if _is(loaded, classes, "FunctionClass"):
         return loaded
-    if isinstance(loaded, SubsetPoset):
-        return class_from_poset(loaded)
+    if isinstance(loaded, posets.SubsetPoset):
+        return classes.class_from_poset(loaded)
     raise ValidationError("this command needs a function class or poset input")
 
 
-def _as_poset(loaded: _Input) -> SubsetPoset:
-    if isinstance(loaded, SubsetPoset):
+def _as_poset(loaded: _Input) -> posets.SubsetPoset:
+    if isinstance(loaded, posets.SubsetPoset):
         return loaded
-    if isinstance(loaded, FunctionClass):
+    if _is(loaded, classes, "FunctionClass"):
         return loaded.support_poset()
     raise ValidationError("this command needs a poset or function class input")
 
@@ -101,6 +93,8 @@ def _load_document(kind: str, data: Any) -> _Input:
     if kind == "poset":
         return sio.poset_from_json(data)
     if kind == "class":
+        from .classes import warn_if_degenerate  # the warning quotes the line below
+
         c = sio.class_from_json(data)
         warn_if_degenerate(c)
         return c
@@ -110,11 +104,11 @@ def _load_document(kind: str, data: Any) -> _Input:
         d = data.get("d") if isinstance(data, dict) else None
         if not is_int(d):
             raise ValidationError('cube spec must look like {"d": 2}')
-        return cube_complex(d)
+        return builders.cube_complex(d)
     if kind == "cells":
-        return face_poset(sio.cells_from_json(data))
+        return builders.face_poset(sio.cells_from_json(data))
     if kind == "formula":
-        return formula_class(sio.formula_from_json(data))[1]
+        return builders.formula_class(sio.formula_from_json(data))[1]
     if kind == "complex":
         return sio.complex_from_json(data)
     raise ValidationError(f"unknown build kind {kind!r}; expected one of {BUILD_KINDS}")
@@ -132,7 +126,7 @@ def _infer_kind(data: Any) -> str:
     if "faces" in data:
         return "cells"
     if "type" in data:
-        return "formula" if data["type"] in VARIANTS else "matroid"
+        return "formula" if data["type"] in builders.formulas.VARIANTS else "matroid"
     if "d" in data:
         return "cube"
     raise ValidationError("cannot infer input kind from the document's fields")
@@ -156,19 +150,19 @@ def _load_input(args: SimpleNamespace) -> _Input:
     return _load_document(kind.strip(), _parse_json(payload, "--build spec"))
 
 
-def _render_betti(table: BettiTable, fmt: str) -> str:
+def _render_betti(table: betti.BettiTable, fmt: str) -> str:
     return table.render_json() if fmt == "json" else table.render()
 
 
-def _betti_table(loaded: _Input, args: SimpleNamespace) -> BettiTable:
-    field = FieldSpec.parse(args.field)
+def _betti_table(loaded: _Input, args: SimpleNamespace) -> betti.BettiTable:
+    field = linalg.FieldSpec.parse(args.field)
     if args.method == "mobius":
-        return betti_via_mobius(_as_poset(loaded), field)
+        return betti.betti_via_mobius(_as_poset(loaded), field)
     # a class answers from its own masks, so a non-closed one builds no poset
-    source = loaded if isinstance(loaded, SubsetPoset) else _as_class(loaded)
+    source = loaded if isinstance(loaded, posets.SubsetPoset) else _as_class(loaded)
     if source.is_intersection_closed():
-        return betti_via_intervals(_as_poset(source), field)
-    return betti_oracle(dual_ideal(_as_class(source)), field)
+        return betti.betti_via_intervals(_as_poset(source), field)
+    return oracles.betti_oracle(classes.dual_ideal(_as_class(source)), field)
 
 
 def _parse_index_set(text: str, n: int) -> Subset:
@@ -180,12 +174,13 @@ def _parse_index_set(text: str, n: int) -> Subset:
 
 
 def _cmd_vcdim(args) -> int:
-    print(vc_dimension(_as_class(_load_input(args))))
+    print(classes.vc_dimension(_as_class(_load_input(args))))
     return 0
 
 
 def _cmd_hdim(args) -> int:
-    print(homological_dimension(_as_class(_load_input(args)), FieldSpec.parse(args.field)))
+    cls = _as_class(_load_input(args))
+    print(betti.homological_dimension(cls, linalg.FieldSpec.parse(args.field)))
     return 0
 
 
@@ -213,7 +208,7 @@ def _cmd_mobius(args) -> int:
 
 
 def _cmd_extentures(args) -> int:
-    for f in extentures(_as_class(_load_input(args))):
+    for f in classes.extentures(_as_class(_load_input(args))):
         print(f.pattern())
     return 0
 
@@ -222,9 +217,9 @@ def _cmd_shatter(args) -> int:
     cls = _as_class(_load_input(args))
     if args.set is not None:
         u = _parse_index_set(args.set, cls.n)
-        print("yes" if is_shattered(cls, u) else "no")
+        print("yes" if classes.is_shattered(cls, u) else "no")
         return 0
-    complex_ = shatter_complex(cls)
+    complex_ = classes.shatter_complex(cls)
     facets = sorted(_bits(f) for f in complex_.facets)
     print(json.dumps({"vc_dimension": complex_.dim + 1, "facets": facets}))
     return 0
@@ -232,12 +227,12 @@ def _cmd_shatter(args) -> int:
 
 def _cmd_check(args) -> int:
     loaded = _load_input(args)
-    field = FieldSpec.parse(args.field)
+    field = linalg.FieldSpec.parse(args.field)
     results: list[tuple[str, bool]] = []
-    if isinstance(loaded, SimplicialComplex):
+    if _is(loaded, complexes, "SimplicialComplex"):
         if not args.cm or args.intersection_closed or args.acyclic or args.interval_cm:
             raise ValidationError("complex inputs support only the --cm check")
-        results.append(("CM", is_cohen_macaulay(loaded, field)))
+        results.append(("CM", complexes.is_cohen_macaulay(loaded, field)))
     else:
         if args.intersection_closed:
             # a class answers from its own masks, so this alone builds no poset
@@ -256,10 +251,10 @@ def _cmd_check(args) -> int:
             bounded = poset.bounded()
             cm = None
             if args.interval_cm:
-                cm = is_interval_cm(poset, field)
+                cm = complexes.is_interval_cm(poset, field)
                 results.append(("interval-CM", cm))
             if cm is None or bounded is not poset:
-                cm = is_interval_cm(bounded, field)
+                cm = complexes.is_interval_cm(bounded, field)
             results.append(("CM", cm))
     if not results:
         raise ValidationError(
@@ -274,13 +269,13 @@ def _cmd_build(args) -> int:
     loaded = _load_input(args)
     target = args.as_
     if target is None:
-        target = "class" if isinstance(loaded, FunctionClass) else "poset"
+        target = "class" if _is(loaded, classes, "FunctionClass") else "poset"
     if target == "poset":
         print(json.dumps(sio.poset_to_json(_as_poset(loaded))))
     elif target == "class":
         print(json.dumps(sio.class_to_json(_as_class(loaded))))
     else:
-        if not isinstance(loaded, SimplicialComplex):
+        if not _is(loaded, complexes, "SimplicialComplex"):
             raise ValidationError("this command needs a simplicial complex input")
         print(json.dumps(sio.complex_to_json(loaded)))
     return 0
@@ -288,14 +283,14 @@ def _cmd_build(args) -> int:
 
 def _cmd_oracle(args) -> int:
     loaded = _load_input(args)
-    field = FieldSpec.parse(args.field)
+    field = linalg.FieldSpec.parse(args.field)
     cls = _as_class(loaded)
     if args.what == "betti":
-        print(_render_betti(betti_oracle(dual_ideal(cls), field), args.format))
+        print(_render_betti(oracles.betti_oracle(classes.dual_ideal(cls), field), args.format))
     elif args.what == "reg":
-        print(regularity_oracle(suboplex_ideal(cls), field))
+        print(oracles.regularity_oracle(classes.suboplex_ideal(cls), field))
     else:
-        print(vc_oracle(cls))
+        print(oracles.vc_oracle(cls))
     return 0
 
 

@@ -21,22 +21,18 @@ at ground element i.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .bitsets import Subset, _bits, is_int
-from .builders import (
-    CellComplexInput,
-    DirectSumMatroid,
-    FormulaClassSpec,
-    GraphicMatroid,
-    LinearMatroid,
-    Matroid,
-    UniformMatroid,
-)
-from .classes import FunctionClass
-from .complexes import SimplicialComplex
 from .errors import ValidationError
 from .posets import SubsetPoset
+
+if TYPE_CHECKING:
+    from .builders.cells import CellComplexInput
+    from .builders.formulas import FormulaClassSpec
+    from .builders.matroids import Matroid
+    from .classes import FunctionClass
+    from .complexes import SimplicialComplex
 
 
 def _require(data: Any, key: str, what: str, kind: type = object) -> Any:
@@ -76,6 +72,8 @@ def poset_to_json(p: SubsetPoset) -> dict:
 
 
 def class_from_json(data: Any) -> FunctionClass:
+    from .classes import FunctionClass
+
     n = _require(data, "n", "class", int)
     members = _bit_strings(_require(data, "functions", "class"), n, "class functions")
     return FunctionClass(n, members)
@@ -86,6 +84,8 @@ def class_to_json(c: FunctionClass) -> dict:
 
 
 def complex_from_json(data: Any) -> SimplicialComplex:
+    from .complexes import SimplicialComplex
+
     nv = _require(data, "vertices", "complex", int)
     facets = _require(data, "facets", "complex", list)
     if nv < 0:
@@ -111,6 +111,8 @@ def complex_to_json(k: SimplicialComplex) -> dict:
 
 
 def matroid_from_json(data: Any) -> Matroid:
+    from .builders.matroids import DirectSumMatroid, GraphicMatroid, LinearMatroid, UniformMatroid
+
     kind = _require(data, "type", "matroid")
     if kind == "uniform":
         k = _require(data, "k", "uniform matroid", int)
@@ -139,6 +141,8 @@ def matroid_from_json(data: Any) -> Matroid:
 
 
 def cells_from_json(data: Any) -> CellComplexInput:
+    from .builders.cells import CellComplexInput
+
     nv = _require(data, "vertices", "cell complex", int)
     faces = _require(data, "faces", "cell complex", list)
     if not all(isinstance(face, list) for face in faces):
@@ -147,6 +151,8 @@ def cells_from_json(data: Any) -> CellComplexInput:
 
 
 def formula_from_json(data: Any) -> FormulaClassSpec:
+    from .builders.formulas import FormulaClassSpec
+
     kind = _require(data, "type", "formula spec")
     d = _require(data, "d", "formula spec", int)
     if kind == "kcnf":

@@ -858,8 +858,8 @@ def test_closed_stdout_pipe_exits_1_without_a_traceback(argv):
 
 def test_uncaught_exception_in_a_verb_keeps_its_traceback():
     code = (
-        "import sys, suboplex.cli as cli\n"
-        "cli.vc_dimension = lambda c: 1 // 0\n"
+        "import sys, suboplex.classes, suboplex.cli as cli\n"
+        "suboplex.classes.vc_dimension = lambda c: 1 // 0\n"
         f"sys.argv[1:] = ['vcdim', '--build', {U11_U23_BUILD!r}]\n"
         "cli.run()\n"
     )

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import suboplex
 import suboplex.builders
 
@@ -152,8 +154,11 @@ def child(*args: str, cwd: Path = ROOT) -> str:
 
 
 # The tracer installs its wrappers right after ``import suboplex.cli`` and
-# skips a name whose module is not loaded by then, so a module that the
-# CLI imported only on demand would silently lose its per-layer metrics.
+# skips a name whose module is not in ``sys.modules`` by then, so a module
+# that the CLI imported only on demand would silently lose its per-layer
+# metrics.  The package registers every submodule there unrun
+# (``importlib.util.LazyLoader``), and the tracer's ``getattr`` runs each
+# module it patches, so a call still compiles only what its verb uses.
 def test_cli_import_loads_every_traced_module():
     modules = sorted({module for module, _ in TRACED_NAMES})
     code = f"import sys, suboplex.cli; print(*[m for m in {modules!r} if m not in sys.modules])"
@@ -167,3 +172,84 @@ def test_tracer_installs_every_name_a_metric_needs(tmp_path):
     code = "import json, layers; print(json.dumps([row[-1] for row in layers.PER_LAYER]))"
     needs = {name for name in json.loads(child("-c", code, cwd=ROOT / "perfbench")) if name}
     assert needs and needs <= installed, sorted(needs - installed)
+
+
+KCNF32 = 'formula:{"type":"kcnf","d":3,"k":2}'
+U58 = 'matroid:{"type":"uniform","k":5,"m":8}'
+
+# What the tracer reports as installed, on every call.
+TRACER_INSTALLS = {
+    "betti.intervals", "betti.intervals_nonzero", "betti.sweep", "builders",
+    "classes.extentures", "classes.ideal", "classes.vc", "complexes.boundary",
+    "complexes.from_faces", "complexes.homology", "complexes.link", "complexes.order_complex",
+    "import.suboplex", "io.parse", "linalg.rank", "oracles.betti", "posets.chains",
+    "posets.init", "posets.interval", "posets.mobius", "posets.rank",
+}
+
+
+def test_tracer_installs_every_name_on_the_leanest_call(tmp_path):
+    """A kcnf ``vcdim`` call runs none of ``betti``, ``complexes``, ``linalg``,
+    ``oracles`` or ``builders.matroids`` on its own, yet the tracer still
+    installs every name it installs on ``betti``."""
+    spans = tmp_path / "spans.json"
+    child(str(ROOT / "perfbench" / "tracer.py"), str(spans), "vcdim", "--build", KCNF32)
+    installed = set(json.loads(spans.read_text())["installed"])
+    code = "import json, layers; print(json.dumps([row[-1] for row in layers.PER_LAYER]))"
+    needs = {name for name in json.loads(child("-c", code, cwd=ROOT / "perfbench")) if name}
+    assert needs and needs <= installed, sorted(needs - installed)
+    assert installed == TRACER_INSTALLS
+
+
+# A child that records every file it compiles (the ``compile`` audit event)
+# and then runs one CLI call in-process.
+COMPILES = """
+import json, sys
+compiled = []
+sys.addaudithook(lambda event, args: event == "compile" and compiled.append(args[1]))
+import suboplex.cli
+code = suboplex.cli.main(sys.argv[1:])
+sys.stdout.flush()
+print(json.dumps([code, [f for f in compiled if isinstance(f, str)]]), file=sys.stderr)
+"""
+
+PACKAGE = ROOT / "src" / "suboplex"
+NEVER_FOR_KCNF = {"betti.py", "complexes.py", "linalg.py", "oracles.py", "builders/matroids.py"}
+NEVER_FOR_U58 = {"betti.py", "complexes.py", "oracles.py", "builders/formulas.py",
+                 "builders/cells.py"}
+
+
+def compiled_files(tmp_path, *argv: str) -> set[str]:
+    """The package files that one CLI call compiles, with no bytecode cache to read."""
+    cache = tmp_path / "pycache"
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, PYTHONPYCACHEPREFIX=str(cache),
+               PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", COMPILES, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, files = json.loads(done.stderr.splitlines()[-1])
+    assert code == 0 and not cache.exists(), done.stderr
+    return {Path(f).resolve().relative_to(PACKAGE).as_posix() for f in files
+            if Path(f).resolve().is_relative_to(PACKAGE)}
+
+
+@pytest.mark.parametrize("argv, never", [
+    (["mobius", "--all", "--build", KCNF32], NEVER_FOR_KCNF),
+    (["build", "--build", KCNF32], NEVER_FOR_KCNF),
+    (["mobius", "--all", "--build", U58], NEVER_FOR_U58),
+    (["build", "--build", U58], NEVER_FOR_U58 | {"classes.py"}),
+    (["check", "--intersection-closed", "--build", KCNF32], {"betti.py", "complexes.py"}),
+    (["betti", "--build", 'cube:{"d":2}'], {"oracles.py"}),
+    (["betti", "--build", 'class:{"n":3,"functions":["000","100","010","110","111"]}'],
+     {"oracles.py"}),
+])
+def test_each_call_compiles_only_the_modules_its_verb_uses(tmp_path, argv, never):
+    compiled = compiled_files(tmp_path, *argv)
+    assert {"__init__.py", "cli.py", "posets.py"} <= compiled
+    assert not compiled & never, sorted(compiled & never)
+
+
+def test_kcnf_vcdim_compiles_ten_modules(tmp_path):
+    assert compiled_files(tmp_path, "vcdim", "--build", KCNF32) == {
+        "__init__.py", "bitsets.py", "builders/__init__.py", "builders/cells.py",
+        "builders/formulas.py", "classes.py", "cli.py", "errors.py", "io.py", "posets.py",
+    }

@@ -12,11 +12,13 @@ Importing the package compiles and runs none of its modules but
 ``importlib.util.LazyLoader``, and runs on the first read of one of its
 attributes; the public names below are served from their modules by a
 module ``__getattr__`` (PEP 562).  So a CLI call compiles only the
-modules its verb reaches: a formula ``vcdim``, ``mobius`` or ``build``
-call compiles 10 of the 15.  A tool that reads a module's attributes
-(the benchmark's tracer, ``vars`` of each loaded module) runs it first.
-On Python 3.11 ``LazyLoader`` takes no lock, so a threaded program
-should read the names it uses before it starts its threads.
+modules its verb reaches: of the 16, a formula ``mobius`` or ``build``
+call compiles 9 and a formula ``vcdim`` 10, and a ``betti`` or ``hdim``
+on a closed input compiles neither ``classes`` nor ``complexes``.  A
+tool that reads a module's attributes (the benchmark's tracer, ``vars``
+of each loaded module) runs it first.  On Python 3.11 ``LazyLoader``
+takes no lock, so a threaded program should read the names it uses
+before it starts its threads.
 """
 
 import sys
@@ -50,20 +52,19 @@ def _lazy_package(namespace: dict, exports: dict[str, tuple[str, ...]]):
 
 __all__, __getattr__, __dir__ = _lazy_package(globals(), {
     "betti": ("BettiTable", "betti_via_intervals", "betti_via_mobius", "homological_dimension"),
-    "bitsets": (
-        "PartialFunction", "SquarefreeMonomial", "Subset", "delta", "intersect", "monomial",
-    ),
+    "bitsets": ("Subset",),
     "classes": (
-        "FunctionClass", "IdealGenerators", "class_from_poset", "collapse_membership",
-        "dual_ideal", "extentures", "flip_class", "is_shattered", "shatter_complex",
+        "FunctionClass", "IdealGenerators", "PartialFunction", "SquarefreeMonomial",
+        "class_from_poset", "collapse_membership", "delta", "dual_ideal", "extentures",
+        "flip_class", "intersect", "is_shattered", "monomial", "shatter_complex",
         "suboplex_ideal", "vc_dimension", "warn_if_degenerate",
     ),
     "complexes": (
-        "HomologyProfile", "SimplicialComplex", "interval_homology", "is_cohen_macaulay",
-        "is_interval_cm", "order_complex", "reduced_euler_characteristic", "reduced_homology",
-        "truncated_order_complex",
+        "HomologyProfile", "SimplicialComplex", "is_cohen_macaulay", "order_complex",
+        "reduced_euler_characteristic", "reduced_homology", "truncated_order_complex",
     ),
     "errors": ("CapExceededError", "ValidationError"),
+    "homology": ("interval_homology", "is_interval_cm"),
     "io": (),
     "linalg": ("GF2", "GF3", "QQ", "FieldSpec"),
     "oracles": ("betti_oracle", "regularity_oracle", "vc_oracle"),

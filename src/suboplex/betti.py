@@ -21,9 +21,9 @@ Every closed interval of P is a lattice with bitwise AND as meet, so
 Rota's crosscut theorem (Bjorner, "Topological methods", Handbook of
 Combinatorics, 1995, Thm 10.8) gives that homology from the complex of
 atom sets with an upper bound below B, or of coatom sets with a lower
-bound above A.  ``interval_homology`` takes the chain complex of the
-smaller of the two, or of the order complex of (A, B) when that has
-fewer faces, straight from the comparability masks of P; no sweep
+bound above A.  ``homology.interval_homology`` takes the chain complex
+of the smaller of the two, or of the order complex of (A, B) when that
+has fewer faces, straight from the comparability masks of P; no sweep
 builds a ``SimplicialComplex``.  Every sweep reads the rank, Moebius
 value and chain count of each interval from one pass per bottom
 element, ``SubsetPoset.intervals_above``, and walks intervals no other
@@ -35,18 +35,26 @@ A poset's symmetry maps each interval [A, B] onto an isomorphic
 So the sweeps take ``SubsetPoset.interval_orbits``: homology once per
 orbit of intervals, copied along the orbit, and ``_hdim_of_poset``
 starts passes only from element-orbit representatives.
+
+The sweeps and the tables need only posets and masks, so this module
+runs ``classes`` only where a class is what it needs: the oracle
+fallback of ``homological_dimension``, ``BettiTable.entries`` and the
+rendering of an oracle's cells.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from typing import TYPE_CHECKING
 
-from .bitsets import SquarefreeMonomial, Subset, Value, is_int, mask_string
-from .classes import FunctionClass, dual_ideal
-from .complexes import interval_homology, interval_is_cm
+from .bitsets import Subset, Value, is_int, mask_string
 from .errors import ValidationError
+from .homology import interval_homology, interval_is_cm
 from .linalg import GF2, FieldSpec
 from .posets import SubsetPoset
+
+if TYPE_CHECKING:
+    from .classes import FunctionClass, SquarefreeMonomial
 
 
 class BettiTable(Value):
@@ -92,6 +100,8 @@ class BettiTable(Value):
     @property
     def entries(self) -> dict[tuple[int, SquarefreeMonomial], int]:
         """A new dict of the cells keyed by ``(i, SquarefreeMonomial)``."""
+        from .classes import SquarefreeMonomial
+
         n = self.n
         return {
             (i, SquarefreeMonomial(Subset(n, s0), Subset(n, s1))): v
@@ -164,7 +174,9 @@ class BettiTable(Value):
         for i, _, s0, s1, v in rows:
             if s0 | s1 == full:
                 degree = f"m({names[full & ~s1]},{names[s0]})"
-            else:
+            else:  # only an oracle's table, whose module runs ``classes``, has these
+                from .classes import SquarefreeMonomial
+
                 degree = str(SquarefreeMonomial(Subset(n, s0), Subset(n, s1)))
             out.append(f'{{"i": {i}, "degree": "{degree}", "value": {v}}}')
         return '{"entries": [' + ", ".join(out) + "]}"
@@ -257,14 +269,22 @@ def _hdim_of_poset(p: SubsetPoset, fieldspec: FieldSpec) -> int:
     return best
 
 
-def homological_dimension(c: FunctionClass, fieldspec: FieldSpec = GF2) -> int:
-    """Projective dimension of the class's dual ideal.
+def homological_dimension(source: SubsetPoset | FunctionClass, fieldspec: FieldSpec = GF2) -> int:
+    """Projective dimension of the dual ideal of a poset's members or of a class.
 
-    Intersection-closed classes go through interval homology of the
-    support poset; others fall back to the brute-force Betti oracle.
+    An intersection-closed input goes through interval homology of its
+    poset (a class's support poset); any other falls back to the
+    brute-force Betti oracle on the dual ideal of its class.  A poset
+    and ``class_from_poset`` of it give the same answer, and only the
+    fallback runs ``classes``.
     """
-    if c.is_intersection_closed():
-        return _hdim_of_poset(c.support_poset(), fieldspec)
+    is_poset = isinstance(source, SubsetPoset)
+    if is_poset and not len(source):
+        raise ValidationError("an empty poset has no homological dimension")
+    if source.is_intersection_closed():
+        return _hdim_of_poset(source if is_poset else source.support_poset(), fieldspec)
+    from .classes import class_from_poset, dual_ideal
     from .oracles import betti_oracle
 
+    c = class_from_poset(source) if is_poset else source
     return betti_oracle(dual_ideal(c), fieldspec).projective_dimension

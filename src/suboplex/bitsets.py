@@ -1,22 +1,11 @@
-"""Subsets of [n], partial Boolean functions, and squarefree monomials.
+"""Subsets of [n], the immutable value base, and bit-mask helpers.
 
 A ``Subset`` is a fixed-width bit vector over the ground set
 [n] = {0, ..., n-1}; it doubles as a total Boolean function via its
-indicator.  A ``PartialFunction`` is a disjoint pair (ones, zeros) of
-subsets.  A ``SquarefreeMonomial`` lives in the 2n variables
-x(i,0), x(i,1) and is stored as two width-n bit vectors (the indices
-where x(i,0), respectively x(i,1), appears), so divisibility and lcm
-are O(1) mask operations.
-
-The dictionary between nested pairs A <= B, partial functions and
-monomials:
-
-    delta(A, B): the partial function sending A to 1 and [n]\\B to 0,
-    m(A, B):     the monomial with support0 = B and support1 = [n]\\A,
-                 of degree n + |B \\ A|.
-
-Restriction of partial functions corresponds to divisibility of
-monomials, and intersection of partial functions to lcm.
+indicator.  ``Value`` is the small base of every value type in the
+package.  Every call runs this module, so the partial functions and
+monomials built on ``Subset`` live with the classes that use them, in
+``classes``.
 """
 
 from __future__ import annotations
@@ -191,146 +180,3 @@ class Subset(Value):
     def isdisjoint(self, other: "Subset") -> bool:
         self._check_mate(other)
         return self.bits & other.bits == 0
-
-
-class PartialFunction(Value):
-    """A partial Boolean function on [n]: disjoint (ones, zeros) subsets.
-
-    The domain is ones | zeros; the function is total when the domain
-    is all of [n].
-    """
-
-    __slots__ = _fields = ("ones", "zeros")
-    ones: Subset
-    zeros: Subset
-
-    def __init__(self, ones: Subset, zeros: Subset) -> None:
-        ones._check_mate(zeros)
-        if ones.bits & zeros.bits:
-            raise ValidationError("ones and zeros of a partial function must be disjoint")
-        _set(self, "ones", ones)
-        _set(self, "zeros", zeros)
-
-    @property
-    def n(self) -> int:
-        return self.ones.n
-
-    @property
-    def domain(self) -> Subset:
-        return self.ones | self.zeros
-
-    @property
-    def is_total(self) -> bool:
-        return self.domain.bits == (1 << self.n) - 1
-
-    def pattern(self) -> str:
-        out = []
-        for i in range(self.n):
-            if self.ones.bits >> i & 1:
-                out.append("1")
-            elif self.zeros.bits >> i & 1:
-                out.append("0")
-            else:
-                out.append("*")
-        return "".join(out)
-
-    def __str__(self) -> str:
-        return self.pattern()
-
-    def restricts(self, other: "PartialFunction") -> bool:
-        """True iff ``other`` extends ``self`` (agrees on self's domain)."""
-        return self.ones.issubset(other.ones) and self.zeros.issubset(other.zeros)
-
-
-class SquarefreeMonomial(Value):
-    """A squarefree monomial in x(i,0), x(i,1) for i in [n].
-
-    support0 holds the indices i with x(i,0) present, support1 those
-    with x(i,1) present.
-    """
-
-    __slots__ = _fields = ("support0", "support1")
-    support0: Subset
-    support1: Subset
-
-    def __init__(self, support0: Subset, support1: Subset) -> None:
-        support0._check_mate(support1)
-        _set(self, "support0", support0)
-        _set(self, "support1", support1)
-
-    @property
-    def n(self) -> int:
-        return self.support0.n
-
-    @classmethod
-    def one(cls, n: int) -> "SquarefreeMonomial":
-        return cls(Subset.empty(n), Subset.empty(n))
-
-    @property
-    def degree(self) -> int:
-        return self.support0.size + self.support1.size
-
-    @property
-    def has_full_support(self) -> bool:
-        """True iff x(i,0) or x(i,1) appears for every i in [n]."""
-        return (self.support0.bits | self.support1.bits) == (1 << self.n) - 1
-
-    def divides(self, other: "SquarefreeMonomial") -> bool:
-        self.support0._check_mate(other.support0)
-        return self.support0.issubset(other.support0) and self.support1.issubset(
-            other.support1
-        )
-
-    def lcm(self, other: "SquarefreeMonomial") -> "SquarefreeMonomial":
-        return SquarefreeMonomial(
-            self.support0 | other.support0, self.support1 | other.support1
-        )
-
-    def set_pair(self) -> tuple[Subset, Subset]:
-        """Recover the unique A <= B with self == m(A, B).
-
-        Only monomials with full support union arise this way; then
-        A = complement of support1 and B = support0.
-        """
-        if not self.has_full_support:
-            raise ValidationError(
-                "monomial lacks full support union; it is not of the form m(A, B)"
-            )
-        return self.support1.complement(), self.support0
-
-    def __str__(self) -> str:
-        vars_: list[str] = []
-        for i in range(self.n):
-            if self.support0.bits >> i & 1:
-                vars_.append(f"x{i}_0")
-            if self.support1.bits >> i & 1:
-                vars_.append(f"x{i}_1")
-        return "*".join(vars_) if vars_ else "1"
-
-
-def delta(a: Subset, b: Subset) -> PartialFunction:
-    """The partial function delta(A, B): 1 on A, 0 off B; requires A <= B."""
-    a._check_mate(b)
-    if not a.issubset(b):
-        raise ValidationError("delta(A, B) requires A to be a subset of B")
-    return PartialFunction(ones=a, zeros=b.complement())
-
-
-def monomial(a: Subset, b: Subset) -> SquarefreeMonomial:
-    """The monomial m(A, B) with support0 = B, support1 = [n]\\A; requires A <= B.
-
-    Its degree is n + |B \\ A|.
-    """
-    a._check_mate(b)
-    if a.bits & ~b.bits:
-        raise ValidationError("m(A, B) requires A to be a subset of B")
-    return SquarefreeMonomial(b, a.complement())
-
-
-def intersect(f: PartialFunction, g: PartialFunction) -> PartialFunction:
-    """The largest partial function that both f and g extend.
-
-    Defined where f and g agree; componentwise intersection of the
-    (ones, zeros) pairs.
-    """
-    return PartialFunction(ones=f.ones & g.ones, zeros=f.zeros & g.zeros)

@@ -18,13 +18,15 @@ variables for monotone kcnf and parity conjunctions.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..bitsets import Value
-from ..classes import FunctionClass, class_from_poset
 from ..errors import CapExceededError, ValidationError
 from ..posets import SubsetPoset, intersection_closure
 from .cells import cube_symmetry
+
+if TYPE_CHECKING:
+    from ..classes import FunctionClass
 
 KCNF_MAX_VARIABLES = 4
 
@@ -96,8 +98,9 @@ def _closure_poset(
     return SubsetPoset.from_masks(n, intersection_closure(family), symmetry)
 
 
-def formula_class(spec: FormulaClassSpec) -> tuple[FunctionClass, SubsetPoset]:
-    """Build the function class and its support poset for a formula family."""
+def formula_poset(spec: FormulaClassSpec) -> SubsetPoset:
+    """The support poset of a formula family's class: its members, with the
+    symmetry the family is known to have."""
     d = spec.d
     if spec.variant in ("kcnf", "monotone_kcnf", "csp") and d > KCNF_MAX_VARIABLES:
         raise CapExceededError(
@@ -136,4 +139,18 @@ def formula_class(spec: FormulaClassSpec) -> tuple[FunctionClass, SubsetPoset]:
                 )
             )
         poset = LinearMatroid(2, columns).flats()
+    return poset
+
+
+def formula_class(spec: FormulaClassSpec) -> tuple[FunctionClass, SubsetPoset]:
+    """The function class of a formula family and its support poset.
+
+    The poset is ``formula_poset(spec)``, and the class is
+    ``class_from_poset`` of it, sharing it as its support poset.  A
+    caller that needs only the members or the poset (the CLI does)
+    calls ``formula_poset`` and never runs ``classes``.
+    """
+    from ..classes import class_from_poset
+
+    poset = formula_poset(spec)
     return class_from_poset(poset), poset

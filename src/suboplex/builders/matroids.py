@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .. import linalg  # runs on first use: uniform, graphic and direct-sum flats never need it
 from ..bitsets import Subset
 from ..errors import CapExceededError, ValidationError
-from ..linalg import FieldSpec, pivot_bits, pivot_columns, rank_from_columns
 from ..posets import SubsetPoset, check_members
 
 FLATS_MAX_GROUND = 16
@@ -151,7 +151,7 @@ class LinearMatroid(Matroid):
             raise ValidationError("matrix columns must all have the same height")
         if not isinstance(p, int):
             raise ValidationError(f"field characteristic must be a prime integer, got {p!r}")
-        self.field = FieldSpec(p)
+        self.field = linalg.FieldSpec(p)
         self.p = p
         self.columns = tuple(tuple(int(x) % p for x in c) for c in columns)
         self._sparse = tuple([(r, x) for r, x in enumerate(c) if x] for c in self.columns)
@@ -172,7 +172,7 @@ class LinearMatroid(Matroid):
 
     def _rank_mask(self, mask: int) -> int:
         chosen = [self._sparse[i] for i in range(self.m) if mask >> i & 1]
-        return rank_from_columns(chosen, len(self.columns[0]), self.field)
+        return linalg.rank_from_columns(chosen, len(self.columns[0]), self.field)
 
     def closure_mask(self, mask: int) -> int:
         """The columns in the span of those in ``mask``, from one elimination.
@@ -186,10 +186,10 @@ class LinearMatroid(Matroid):
         """
         m = self.m
         if self.p == 2:
-            pivots = pivot_bits([r & ~mask | (r & mask) << m for r in self._row_bits])
+            pivots = linalg.pivot_bits([r & ~mask | (r & mask) << m for r in self._row_bits])
         else:
             shifted = [[(e + m if mask >> e & 1 else e, x) for e, x in row] for row in self._rows]
-            pivots = pivot_columns(shifted, self.field)
+            pivots = linalg.pivot_columns(shifted, self.field)
         loose = 0
         for top, u in pivots.items():
             if top < m:

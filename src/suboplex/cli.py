@@ -46,7 +46,7 @@ import sys
 from types import ModuleType, SimpleNamespace
 from typing import TYPE_CHECKING, Any, Container, NoReturn
 
-from . import betti, builders, classes, complexes, linalg, oracles, posets
+from . import betti, builders, classes, complexes, homology, linalg, oracles, posets
 from . import io as sio
 from .bitsets import Subset, _bits, is_int
 from .errors import CapExceededError, ValidationError
@@ -108,7 +108,7 @@ def _load_document(kind: str, data: Any) -> _Input:
     if kind == "cells":
         return builders.face_poset(sio.cells_from_json(data))
     if kind == "formula":
-        return builders.formula_class(sio.formula_from_json(data))[1]
+        return builders.formulas.formula_poset(sio.formula_from_json(data))
     if kind == "complex":
         return sio.complex_from_json(data)
     raise ValidationError(f"unknown build kind {kind!r}; expected one of {BUILD_KINDS}")
@@ -154,12 +154,17 @@ def _render_betti(table: betti.BettiTable, fmt: str) -> str:
     return table.render_json() if fmt == "json" else table.render()
 
 
+def _as_source(loaded: _Input) -> posets.SubsetPoset | classes.FunctionClass:
+    """A poset as it is, any other input as a class: what ``hdim`` and ``betti`` take."""
+    return loaded if isinstance(loaded, posets.SubsetPoset) else _as_class(loaded)
+
+
 def _betti_table(loaded: _Input, args: SimpleNamespace) -> betti.BettiTable:
     field = linalg.FieldSpec.parse(args.field)
     if args.method == "mobius":
         return betti.betti_via_mobius(_as_poset(loaded), field)
     # a class answers from its own masks, so a non-closed one builds no poset
-    source = loaded if isinstance(loaded, posets.SubsetPoset) else _as_class(loaded)
+    source = _as_source(loaded)
     if source.is_intersection_closed():
         return betti.betti_via_intervals(_as_poset(source), field)
     return oracles.betti_oracle(classes.dual_ideal(_as_class(source)), field)
@@ -179,8 +184,8 @@ def _cmd_vcdim(args) -> int:
 
 
 def _cmd_hdim(args) -> int:
-    cls = _as_class(_load_input(args))
-    print(betti.homological_dimension(cls, linalg.FieldSpec.parse(args.field)))
+    source = _as_source(_load_input(args))
+    print(betti.homological_dimension(source, linalg.FieldSpec.parse(args.field)))
     return 0
 
 
@@ -251,10 +256,10 @@ def _cmd_check(args) -> int:
             bounded = poset.bounded()
             cm = None
             if args.interval_cm:
-                cm = complexes.is_interval_cm(poset, field)
+                cm = homology.is_interval_cm(poset, field)
                 results.append(("interval-CM", cm))
             if cm is None or bounded is not poset:
-                cm = complexes.is_interval_cm(bounded, field)
+                cm = homology.is_interval_cm(bounded, field)
             results.append(("CM", cm))
     if not results:
         raise ValidationError(

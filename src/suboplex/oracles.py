@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .betti import BettiTable
 from .classes import FunctionClass, IdealGenerators
-from .complexes import _chain_homology
+from .homology import _chain_homology
 from .errors import CapExceededError
 from .linalg import GF2, FieldSpec
 

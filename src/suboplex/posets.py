@@ -29,6 +29,8 @@ from .errors import CapExceededError, ValidationError
 
 # Four comparability tables of m^2 bits each: about 200 MB at the cap.
 POSET_MAX_MEMBERS = 20_000
+# The pairs of a POSET_MAX_MEMBERS-member family, so no poset's scan reaches it.
+AND_CLOSED_MAX_PAIRS = POSET_MAX_MEMBERS * (POSET_MAX_MEMBERS - 1) // 2
 
 
 def check_members(count: int, what: str) -> None:
@@ -52,8 +54,20 @@ def intersection_closure(masks: Iterable[int]) -> set[int]:
 
 def and_closed(masks: Sequence[int], members: Container[int], firsts: Iterable[int]) -> bool:
     """True iff ``masks[i] & b`` is in ``members`` for each i in ``firsts`` and
-    each b after ``masks[i]``; stops at the first missing AND."""
+    each b after ``masks[i]``; stops at the first missing AND.
+
+    A row's pair tests are counted before it is scanned, and
+    ``CapExceededError`` is raised before the count passes
+    ``AND_CLOSED_MAX_PAIRS``: only a class, which builds no poset and so
+    meets no member cap, can get that far.
+    """
+    work, last = 0, len(masks) - 1
     for i in firsts:
+        work += last - i
+        if work > AND_CLOSED_MAX_PAIRS:
+            raise CapExceededError(
+                f"intersection-closed scan is capped at {AND_CLOSED_MAX_PAIRS} pair tests"
+            )
         a = masks[i]
         for b in masks[i + 1 :]:
             if a & b not in members:

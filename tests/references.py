@@ -30,7 +30,7 @@ from suboplex import (
     monomial,
 )
 from suboplex.builders import Matroid
-from suboplex.complexes import _chain_homology, interval_homology, interval_is_cm
+from suboplex.homology import _chain_homology, interval_homology, interval_is_cm
 from suboplex.oracles import ORACLE_MAX_VARIABLES
 from suboplex.posets import check_members
 

@@ -45,7 +45,7 @@ from suboplex import (
     reduced_homology,
     truncated_order_complex,
 )
-from suboplex.bitsets import SquarefreeMonomial
+from suboplex.classes import SquarefreeMonomial
 from suboplex.betti import _hdim_of_poset
 from suboplex.builders import UniformMatroid, formula_class
 from suboplex.cli import main
@@ -487,6 +487,18 @@ class TestValueTypes:
         assert table == BettiTable.from_entries(2, {(0, m): 1})
         assert table != BettiTable(2, {}) and table != BettiTable(3, cells)
 
+    def test_entries_round_trip(self, rng):
+        """``from_entries`` of a table's monomial-keyed entries gives the table back."""
+        from conftest import random_poset
+
+        tables = [betti_via_intervals(random_intersection_closed_poset(rng, max_n=5))
+                  for _ in range(20)]
+        tables += [betti_oracle(dual_ideal(class_from_poset(random_poset(rng, max_n=3))))
+                   for _ in range(10)]
+        for t in tables:
+            assert all(isinstance(m, SquarefreeMonomial) for _, m in t.entries)
+            assert BettiTable.from_entries(t.n, t.entries) == t
+
     def test_labeled_complex(self):
         p = SubsetPoset.from_strings(["0", "1"])
         labeled = cellular_resolution(p)
@@ -522,6 +534,25 @@ class TestHomologicalDimension:
                 continue
             c = class_from_poset(p)
             assert homological_dimension(c) <= p.rank()
+
+    def test_poset_input_equals_its_class(self, rng):
+        """A poset answers as ``class_from_poset`` of it does: closed ones
+        through the sweep, the others through the oracle."""
+        from bundled import bundled_posets
+        from conftest import random_poset
+
+        posets = [*bundled_posets().values()]
+        posets += [random_intersection_closed_poset(rng, max_n=4) for _ in range(25)]
+        posets += [random_poset(rng, max_n=4) for _ in range(25)]
+        assert {p.is_intersection_closed() for p in posets} == {True, False}
+        for p in posets:
+            for field in (GF2, GF3, QQ):
+                got = homological_dimension(p, field)
+                assert got == homological_dimension(class_from_poset(p), field)
+
+    def test_empty_poset(self):
+        with pytest.raises(ValidationError, match="^an empty poset has no homological dimension$"):
+            homological_dimension(SubsetPoset(2, []))
 
 
 class TestAgainstOracle:

@@ -42,6 +42,25 @@ def S(s: str) -> Subset:
     return Subset.from_string(s)
 
 
+class TestFormulaPoset:
+    def test_is_the_support_poset_of_formula_class(self):
+        """``formula_poset`` is the poset ``formula_class`` pairs with its class,
+        symmetry included, for every variant."""
+        from suboplex.builders.formulas import VARIANTS, formula_poset
+
+        specs = [FormulaClassSpec(v, d, k=k) for v in ("kcnf", "monotone_kcnf", "poly_conj")
+                 for d in (1, 2, 3) for k in range(1, d + 1)]
+        specs += [FormulaClassSpec("parity_conj", d) for d in (1, 2, 3, 4)]
+        specs += [FormulaClassSpec("csp", 3, generators=(0b00001111, 0b00110011, 0b01010101)),
+                  FormulaClassSpec("csp", 2, generators=())]
+        assert {spec.variant for spec in specs} == set(VARIANTS)
+        for spec in specs:
+            poset = formula_poset(spec)
+            c, p = formula_class(spec)
+            assert poset == p and poset.symmetry == p.symmetry
+            assert c.support_poset() is p and c == class_from_poset(poset)
+
+
 class TestMatroidRank:
     def test_uniform(self):
         m = UniformMatroid(2, 3)

@@ -178,6 +178,33 @@ class TestIntersectionClosed:
         assert scans == [c.support_poset()]
 
 
+    def test_scan_is_capped_by_counted_pair_tests(self, monkeypatch):
+        """Each row's pair tests are counted before the row is scanned."""
+        full = FunctionClass.full_class(4)  # closed: 16 * 15 / 2 = 120 pair tests
+        monkeypatch.setattr(suboplex.posets, "AND_CLOSED_MAX_PAIRS", 119)
+        message = "^intersection-closed scan is capped at 119 pair tests$"
+        with pytest.raises(CapExceededError, match=message):
+            full.is_intersection_closed()
+        monkeypatch.setattr(suboplex.posets, "AND_CLOSED_MAX_PAIRS", 120)
+        assert full.is_intersection_closed()
+        # 0011 & 0110 = 0010 is missing: the first row's 9 tests find it
+        not_closed = FunctionClass.from_masks(4, [0b0011, 0b0110, *range(8, 16)])
+        monkeypatch.setattr(suboplex.posets, "AND_CLOSED_MAX_PAIRS", 9)
+        assert not not_closed.is_intersection_closed()
+
+    def test_no_poset_reaches_the_scan_budget(self, monkeypatch):
+        """The budget is the pair count of a family at the member cap, so the scan
+        of a poset, which has at most that many members, never passes it; the
+        full class on 14 points (16,384 members) is under it too."""
+        from suboplex.posets import AND_CLOSED_MAX_PAIRS, POSET_MAX_MEMBERS
+
+        assert AND_CLOSED_MAX_PAIRS == POSET_MAX_MEMBERS * (POSET_MAX_MEMBERS - 1) // 2
+        assert (1 << 14) * ((1 << 14) - 1) // 2 <= AND_CLOSED_MAX_PAIRS
+        # in miniature: a 16-member poset with no symmetry tests all 120 pairs
+        monkeypatch.setattr(suboplex.posets, "AND_CLOSED_MAX_PAIRS", 120)
+        assert SubsetPoset.from_masks(4, range(16)).is_intersection_closed()
+
+
 class TestShattering:
     def test_flagship_facts(self):
         c = u11_u23_class()

@@ -268,7 +268,7 @@ class TestCheck:
         monkeypatch.setattr(SubsetPoset, "chain_masks", refuse)
         monkeypatch.setattr(SubsetPoset, "interval_orbits", refuse)
         refuse_everywhere(monkeypatch, suboplex.reduced_homology, refuse)
-        refuse_everywhere(monkeypatch, suboplex.complexes._chain_homology, refuse)
+        refuse_everywhere(monkeypatch, suboplex.homology._chain_homology, refuse)
         for spec in (U11_U23_BUILD, U47_BUILD, KCNF32_BUILD):
             assert run(capsys, "check", "--acyclic", "--build", spec) == (0, "acyclic: yes", "")
 
@@ -303,6 +303,16 @@ class TestCheck:
             else:
                 assert (code, out) == (1, "")
                 assert err == "error: cellular resolution requires an intersection-closed poset"
+
+    def test_closed_class_past_the_scan_budget_exits_2(self, capsys, monkeypatch, tmp_path):
+        """A class builds no poset, so a count of its pair tests caps its own scan."""
+        monkeypatch.setattr(suboplex.posets, "AND_CLOSED_MAX_PAIRS", 100)
+        path = tmp_path / "full4.json"
+        path.write_text(json.dumps({"n": 4, "functions": [format(m, "04b") for m in range(16)]}))
+        for flag in ("--intersection-closed", "--acyclic"):
+            code, out, err = run(capsys, "check", flag, "--input", str(path))
+            assert (code, out) == (2, "")
+            assert err == "error: intersection-closed scan is capped at 100 pair tests"
 
     def test_acyclic_kcnf_4_2_within_a_gib(self):
         """kcnf(4,2) has 2.09e10 chains; the answer lists none of them."""

@@ -34,7 +34,7 @@ from suboplex import (
     shatter_complex,
     truncated_order_complex,
 )
-from suboplex.complexes import ChainHomology, _bits, _by_dim, _crosscut_faces
+from suboplex.homology import ChainHomology, _bits, _by_dim, _crosscut_faces
 
 HOLLOW_TRIANGLE = SimplicialComplex.from_facets(3, [0b011, 0b101, 0b110])
 

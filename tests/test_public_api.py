@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -176,6 +177,7 @@ def test_tracer_installs_every_name_a_metric_needs(tmp_path):
 
 KCNF32 = 'formula:{"type":"kcnf","d":3,"k":2}'
 U58 = 'matroid:{"type":"uniform","k":5,"m":8}'
+U47 = 'matroid:{"type":"uniform","k":4,"m":7}'
 
 # What the tracer reports as installed, on every call.
 TRACER_INSTALLS = {
@@ -241,6 +243,20 @@ def compiled_files(tmp_path, *argv: str) -> set[str]:
     (["betti", "--build", 'cube:{"d":2}'], {"oracles.py"}),
     (["betti", "--build", 'class:{"n":3,"functions":["000","100","010","110","111"]}'],
      {"oracles.py"}),
+    # A formula reaches the CLI as its support poset, and the sweeps, their
+    # homology and the tables need no class and no simplicial complex.
+    (["mobius", "--all", "--build", KCNF32], {"classes.py"}),
+    (["build", "--build", KCNF32], {"classes.py"}),
+    (["check", "--intersection-closed", "--build", KCNF32], {"classes.py"}),
+    (["betti", "--build", KCNF32], {"classes.py"}),
+    (["hdim", "--build", KCNF32], {"classes.py"}),
+    (["betti", "--build", U58, "--field", "3"], {"classes.py", "complexes.py"}),
+    (["betti", "--build", U58, "--method", "mobius"], {"classes.py", "complexes.py"}),
+    (["hdim", "--build", U58], {"classes.py", "complexes.py"}),
+    # Uniform flats take no elimination.
+    (["build", "--build", U58], {"linalg.py"}),
+    (["mobius", "--all", "--build", U58], {"linalg.py"}),
+    (["check", "--interval-cm", "--build", U47], {"complexes.py"}),
 ])
 def test_each_call_compiles_only_the_modules_its_verb_uses(tmp_path, argv, never):
     compiled = compiled_files(tmp_path, *argv)
@@ -253,3 +269,127 @@ def test_kcnf_vcdim_compiles_ten_modules(tmp_path):
         "__init__.py", "bitsets.py", "builders/__init__.py", "builders/cells.py",
         "builders/formulas.py", "classes.py", "cli.py", "errors.py", "io.py", "posets.py",
     }
+
+
+# Names that moved to the module whose code uses them: each still resolves
+# from ``suboplex`` to the object its new module defines.
+MOVED = {
+    "suboplex.classes": ["PartialFunction", "SquarefreeMonomial", "delta", "intersect", "monomial"],
+    "suboplex.homology": ["interval_homology", "is_interval_cm"],
+}
+
+
+def test_moved_names_resolve_from_their_new_modules():
+    for module_name, names in MOVED.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert getattr(suboplex, name) is getattr(module, name), name
+            assert getattr(module, name).__module__ == module_name, name
+    # the tracer patches ChainHomology's methods through ``complexes``
+    assert suboplex.complexes.ChainHomology is suboplex.homology.ChainHomology
+
+
+# The package's module-level import graph: "a -> b" when running module a
+# runs module b (``from .b import name``).  ``from . import b`` of a module
+# that the package registers unrun binds it without running it, so it is no
+# edge; imports under ``if TYPE_CHECKING:`` and inside functions never run at
+# load.  An edge added here puts b on every call that runs a.
+IMPORT_GRAPH = [
+    "betti -> bitsets",
+    "betti -> errors",
+    "betti -> homology",
+    "betti -> linalg",
+    "betti -> posets",
+    "bitsets -> errors",
+    "builders -> suboplex",
+    "builders.cells -> bitsets",
+    "builders.cells -> errors",
+    "builders.cells -> posets",
+    "builders.formulas -> bitsets",
+    "builders.formulas -> builders.cells",
+    "builders.formulas -> errors",
+    "builders.formulas -> posets",
+    "builders.matroids -> bitsets",
+    "builders.matroids -> errors",
+    "builders.matroids -> posets",
+    "classes -> bitsets",
+    "classes -> errors",
+    "classes -> posets",
+    "cli -> bitsets",
+    "cli -> builders",
+    "cli -> errors",
+    "complexes -> bitsets",
+    "complexes -> errors",
+    "complexes -> homology",
+    "complexes -> linalg",
+    "complexes -> posets",
+    "homology -> bitsets",
+    "homology -> errors",
+    "homology -> linalg",
+    "io -> bitsets",
+    "io -> errors",
+    "io -> posets",
+    "linalg -> bitsets",
+    "linalg -> errors",
+    "oracles -> betti",
+    "oracles -> classes",
+    "oracles -> errors",
+    "oracles -> homology",
+    "oracles -> linalg",
+    "posets -> bitsets",
+    "posets -> errors",
+    "suboplex -> builders",
+]
+
+
+def _registered_unrun(package: Path) -> set[str]:
+    """The submodules that ``package``'s ``__init__`` hands to ``_lazy_package``."""
+    for node in ast.walk(ast.parse((package / "__init__.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lazy_package":
+            return {key.value for key in node.args[1].keys}
+    return set()
+
+
+def _runs_at_load(body: list[ast.stmt]):
+    """The import statements of a module body that run when the module runs."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If) and getattr(node.test, "id", None) != "TYPE_CHECKING":
+            yield from _runs_at_load(node.body + node.orelse)
+
+
+def import_graph() -> list[str]:
+    def name(parts: tuple[str, ...]) -> str:
+        return ".".join(parts) or "suboplex"
+
+    edges = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(PACKAGE).with_suffix("").parts
+        package = parts[:-1]
+        here = package if parts[-1] == "__init__" else parts
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in _runs_at_load(tree.body):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "suboplex" for a in node.names), path
+                continue
+            if not node.level:  # the standard library
+                assert node.module.split(".")[0] != "suboplex", path
+                continue
+            base = package[: len(package) - node.level + 1]
+            if node.module:
+                edges.add(f"{name(here)} -> {name((*base, *node.module.split('.')))}")
+                continue
+            unrun = _registered_unrun(PACKAGE.joinpath(*base))
+            for alias in node.names:
+                if alias.name in unrun:
+                    continue
+                is_module = (PACKAGE.joinpath(*base, alias.name)).is_dir() or (
+                    PACKAGE.joinpath(*base, alias.name + ".py").exists())
+                target = (*base, alias.name) if is_module else base
+                edges.add(f"{name(here)} -> {name(target)}")
+    return sorted(edges)
+
+
+def test_module_level_import_graph():
+    assert import_graph() == IMPORT_GRAPH

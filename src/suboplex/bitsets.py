@@ -11,7 +11,7 @@ monomials built on ``Subset`` live with the classes that use them, in
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -26,6 +26,12 @@ def _bits(mask: int) -> list[int]:
         mask ^= low
         out.append(low.bit_length() - 1)
     return out
+
+
+def _columns(rows: Sequence[int], width: int) -> list[int]:
+    """Column v has bit i set iff bit v of ``rows[i]`` is; one per bit below ``width``."""
+    digits = [format(row, f"0{width}b") for row in reversed(rows)]
+    return [int("".join(column), 2) for column in zip(*digits)][::-1]
 
 
 def is_int(x: object) -> bool:

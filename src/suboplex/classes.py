@@ -28,7 +28,7 @@ from __future__ import annotations
 import warnings
 from typing import Iterable, Sequence
 
-from .bitsets import Subset, Value, _bits, _set, check_ground
+from .bitsets import Subset, Value, _bits, _columns, _set, check_ground
 from .errors import CapExceededError, ValidationError
 from .posets import SubsetPoset, and_closed
 
@@ -396,12 +396,6 @@ def _positions(mask: int) -> list[int]:
     return out
 
 
-def _literal_columns(sets: list[int], width: int) -> list[int]:
-    """Column l has bit j set iff literal l is in ``sets[j]``; one per literal."""
-    rows = [format(t, f"0{width}b") for t in reversed(sets)]
-    return [int("".join(column), 2) for column in zip(*rows)][::-1]
-
-
 def _blocked_literals(holds: list[int], hit: int, edge: int, miss: list[int]) -> list[int]:
     """For each set t of ``miss``, the edge literals v with a hit set under t | v.
 
@@ -500,13 +494,13 @@ def extentures(c: FunctionClass) -> tuple[PartialFunction, ...]:
         size = nhit + len(grown)
         if grown:
             top = len(sets)
-            for l, column in enumerate(_literal_columns(grown, 2 * n)):
+            for l, column in enumerate(_columns(grown, 2 * n)):
                 holds[l] |= column << top
             alive |= ((1 << len(grown)) - 1) << top
             sets += grown
         if len(sets) > 2 * size:  # more dropped sets than live ones: renumber
             sets = [sets[p] for p in _positions(alive)]
-            holds = _literal_columns(sets, 2 * n)
+            holds = _columns(sets, 2 * n)
             alive = (1 << size) - 1
     family = [sets[p] for p in _positions(alive)]
     del sets, holds  # freed before the output is built, which sets the peak

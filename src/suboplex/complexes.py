@@ -1,6 +1,7 @@
 """Simplicial complexes, order complexes, and exact reduced homology.
 
-Faces are bit masks over a vertex universe.  The augmented chain
+Faces are bit masks over a vertex universe, and a complex is its
+facets, fixed at construction.  The augmented chain
 complex always carries the empty face in dimension -1, so the
 (-1)-st reduced homology is nonzero exactly for the empty complex
 {emptyset}.  Two degenerate complexes are kept distinct throughout:
@@ -40,15 +41,16 @@ def _submasks(mask: int):
 
 
 class SimplicialComplex:
-    """An abstract simplicial complex with faces stored as bit masks."""
+    """An abstract simplicial complex, given by ``facets``: its maximal faces as
+    ascending bit masks, ``()`` for the null complex, set by every constructor.
+    The face set is a cache, filled when a constructor has it or on first use."""
 
-    __slots__ = ("num_vertices", "_facets", "_face_set", "_faces_by_dim")
+    __slots__ = ("num_vertices", "facets", "_face_set")
 
-    def __init__(self, num_vertices: int, facets: tuple[int, ...] | None) -> None:
+    def __init__(self, num_vertices: int, facets: tuple[int, ...]) -> None:
         self.num_vertices = num_vertices
-        self._facets = facets  # None until first asked for, on from_faces complexes
+        self.facets = facets
         self._face_set: set[int] | None = None
-        self._faces_by_dim: dict[int, list[int]] | None = None
 
     @classmethod
     def null(cls) -> "SimplicialComplex":
@@ -61,24 +63,41 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, num_vertices: int, facets) -> "SimplicialComplex":
+        """Build from any family of faces, keeping the maximal ones.
+
+        Column v has bit i set iff mask i holds v.  Mask j is maximal iff
+        the AND of its vertices' columns is bit j alone; the empty face,
+        an AND over no column, is maximal only alone.  The columns are
+        ORed up from set bits: the vertex count has no cap, so dense rows
+        transposed by ``bitsets._columns`` would cost masks x vertices.
+        """
         masks = sorted(set(facets))
-        for f in masks:
+        columns: dict[int, int] = {}
+        for i, f in enumerate(masks):
             if f < 0 or f >> num_vertices:
                 raise ValidationError(
                     f"facet 0x{f:x} uses vertices outside range({num_vertices})"
                 )
-        maximal = [
-            f
-            for f in masks
-            if not any(f != g and f & g == f for g in masks)
-        ]
+            for v in _bits(f):
+                columns[v] = columns.get(v, 0) | 1 << i
+        everyone = (1 << len(masks)) - 1
+        maximal = []
+        for j, f in enumerate(masks):
+            above = everyone
+            for v in _bits(f):
+                above &= columns[v]
+            if above == 1 << j:
+                maximal.append(f)
         return cls(num_vertices, tuple(maximal))
 
     @classmethod
     def from_faces(cls, num_vertices: int, faces) -> "SimplicialComplex":
         """Build from an explicit subset-closed family of faces.
 
-        The empty face is implied whenever the family is nonempty.
+        The empty face is implied whenever the family is nonempty.  The
+        facets are the faces that are no face less one vertex: in a
+        subset-closed family a face under a larger face lies under one
+        with one more vertex.
         """
         face_set = set(faces)
         if not face_set:
@@ -89,27 +108,14 @@ class SimplicialComplex:
                 raise ValidationError(
                     f"face 0x{f:x} uses vertices outside range({num_vertices})"
                 )
-        k = cls(num_vertices, None)
+        facets = face_set.difference(f ^ 1 << v for f in face_set for v in _bits(f))
+        k = cls(num_vertices, tuple(sorted(facets)))
         k._face_set = face_set
         return k
 
-    def _compute_facets(self) -> tuple[int, ...]:
-        """The faces not equal to a face less one vertex: in a subset-closed family a
-        face under a larger face lies under one with one more vertex."""
-        assert self._face_set is not None
-        faces = self._face_set
-        return tuple(sorted(faces.difference(f ^ 1 << v for f in faces for v in _bits(f))))
-
-    @property
-    def facets(self) -> tuple[int, ...]:
-        """Maximal faces, computed on first access; homology never needs them."""
-        if self._facets is None:
-            self._facets = self._compute_facets()
-        return self._facets
-
     @property
     def is_null(self) -> bool:
-        return self._facets == ()
+        return self.facets == ()
 
     @property
     def is_empty_complex(self) -> bool:
@@ -118,7 +124,7 @@ class SimplicialComplex:
     def face_set(self) -> set[int]:
         if self._face_set is None:
             faces: set[int] = set()
-            for f in self._facets:
+            for f in self.facets:
                 for sub in _submasks(f):
                     faces.add(sub)
             self._face_set = faces
@@ -126,17 +132,14 @@ class SimplicialComplex:
 
     def faces_by_dim(self) -> dict[int, list[int]]:
         """Faces grouped by dimension; includes {-1: [0]} for nonnull complexes."""
-        if self._faces_by_dim is None:
-            self._faces_by_dim = _by_dim(self.face_set())
-        return self._faces_by_dim
+        return _by_dim(self.face_set())
 
     @property
     def dim(self) -> int:
         """Dimension; -1 for the empty complex, -2 for the null complex."""
         if self.is_null:
             return -2
-        faces = self._face_set if self._facets is None else self._facets
-        return max(f.bit_count() for f in faces) - 1
+        return max(f.bit_count() for f in self.facets) - 1
 
     def f_vector(self) -> dict[int, int]:
         return {d: len(fs) for d, fs in self.faces_by_dim().items()}
@@ -147,9 +150,7 @@ class SimplicialComplex:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        if self.is_null or other.is_null:
-            return self.is_null and other.is_null
-        return self.face_set() == other.face_set()
+        return self.facets == other.facets
 
     def link(self, face: int) -> "SimplicialComplex":
         """The link of ``face``: all G disjoint from it with G | face a face."""
@@ -242,7 +243,7 @@ def _face_poset(k: SimplicialComplex) -> SubsetPoset:
     vertices, renumbered in ascending order.  Before any facet is
     expanded, the face count, at most sum(2^|F|) over the facets F, is capped.
     """
-    size = len(k._face_set or ()) or sum(1 << f.bit_count() for f in k._facets)
+    size = len(k._face_set or ()) or sum(1 << f.bit_count() for f in k.facets)
     if size > CM_MAX_FACES:
         raise CapExceededError(f"Cohen-Macaulay check is capped at {CM_MAX_FACES} faces, got {size}")
     faces = k.face_set()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Container, Iterable, Iterator, Sequence
 
-from .bitsets import Subset, Value, _bits, check_ground
+from .bitsets import Subset, Value, _bits, _columns, check_ground
 from .errors import CapExceededError, ValidationError
 
 # Four comparability tables of m^2 bits each: about 200 MB at the cap.
@@ -84,8 +84,7 @@ def _comparability(n: int, order: Sequence[int]) -> tuple[list[int], list[int]]:
     it lie outside ``contains[v]`` for every v not in e_i.
     """
     everyone = (1 << len(order)) - 1
-    rows = [format(m, f"0{n}b") for m in reversed(order)]
-    contains = [int("".join(col), 2) for col in zip(*rows)][::-1]
+    contains = _columns(order, n)
     missing = [everyone ^ c for c in contains]
     up, down = [], []
     for i, m in enumerate(order):

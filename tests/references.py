@@ -5,8 +5,9 @@ every pair of members, covers by testing each comparable pair for an
 element in between, symmetry generators by mapping each member bit by bit, flats by closing every flat plus one element through
 rank calls, Betti tables keyed by ``SquarefreeMonomial`` with the
 text and JSON renderings read from those keys, extentures by Berge's
-loop over lists of sets, and the Betti oracle's slices by testing every
-subset of the degree.  The command line is parsed by argparse, as it
+loop over lists of sets, the Betti oracle's slices by testing every
+subset of the degree, and a complex's facets by testing every pair of
+masks.  The command line is parsed by argparse, as it
 was before the CLI's verb table.
 """
 
@@ -83,6 +84,12 @@ def reference_index_map(p: SubsetPoset, k: int, g: tuple[int, ...]) -> tuple[int
             raise ValidationError(f"symmetry generator {k} maps {Subset(p.n, m)} to a non-member")
         images.append(p._index[image])
     return tuple(images)
+
+
+def reference_maximal(masks) -> tuple[int, ...]:
+    """The distinct masks under no other mask, ascending, one subset test per pair."""
+    masks = sorted(set(masks))
+    return tuple(f for f in masks if not any(f != g and f & g == f for g in masks))
 
 
 def reference_flats(m: Matroid) -> set[int]:

@@ -258,6 +258,26 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--cm", "--build", simplex)
         assert code == 2 and err == "error: Cohen-Macaulay check is capped at 1024 faces, got 67108864"
 
+    def test_complex_of_20000_facets_within_a_gib(self, tmp_path):
+        """Loading must not test every pair of facets, and the face cap must come right after."""
+        rng = random.Random(20_000)
+        masks = [rng.getrandbits(40) for _ in range(20_000)]
+        facets = [[v for v in range(40) if m >> v & 1] for m in masks]
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps({"vertices": 40, "facets": facets}))
+        start = time.monotonic()
+        built = run_child_within_a_gib("build", "--input", str(path), "--as", "complex")
+        middle = time.monotonic()
+        checked = run_child_within_a_gib("check", "--cm", "--input", str(path))
+        end = time.monotonic()
+        assert (built.returncode, built.stderr) == (0, "")
+        faces = sum(1 << len(f) for f in json.loads(built.stdout)["facets"])
+        assert (checked.returncode, checked.stdout) == (2, "")
+        assert checked.stderr.splitlines() == [
+            f"error: Cohen-Macaulay check is capped at 1024 faces, got {faces}"
+        ]
+        assert middle - start < 3.0 and end - middle < 3.0  # a test of every pair takes 30 s
+
     def test_acyclic_builds_no_labeled_complex(self, capsys, monkeypatch):
         """The answer comes from the theorem: no chain is listed and no homology taken."""
 

@@ -22,9 +22,6 @@ from suboplex import (
     Subset,
     SubsetPoset,
     ValidationError,
-    betti_via_intervals,
-    class_from_poset,
-    homological_dimension,
     intersection_closure,
     is_cohen_macaulay,
     is_interval_cm,
@@ -35,6 +32,7 @@ from suboplex import (
     truncated_order_complex,
 )
 from suboplex.homology import ChainHomology, _bits, _by_dim, _crosscut_faces
+from references import reference_maximal
 
 HOLLOW_TRIANGLE = SimplicialComplex.from_facets(3, [0b011, 0b101, 0b110])
 
@@ -68,16 +66,6 @@ def reisner_interval_cm(p: SubsetPoset, fieldspec) -> bool:
     return True
 
 
-@pytest.fixture
-def no_facets(monkeypatch):
-    """Make any computation of facets fail."""
-
-    def refuse(self):
-        raise AssertionError("facets were computed")
-
-    monkeypatch.setattr(SimplicialComplex, "_compute_facets", refuse)
-
-
 class TestComplexBasics:
     def test_null_vs_empty(self):
         null = SimplicialComplex.null()
@@ -96,7 +84,7 @@ class TestComplexBasics:
         k = SimplicialComplex.from_faces(3, [0b011, 0b001, 0b010, 0b100])
         assert set(k.facets) == {0b011, 0b100}
 
-    def test_from_faces_needs_no_facets(self, no_facets):
+    def test_from_faces_dim_null_and_empty(self):
         k = SimplicialComplex.from_faces(3, [0b011, 0b001, 0b010, 0b100])
         assert k.dim == 1 and not k.is_empty_complex and not k.is_null
         empty = SimplicialComplex.from_faces(3, [0])
@@ -104,7 +92,7 @@ class TestComplexBasics:
         null = SimplicialComplex.from_faces(3, [])
         assert null.dim == -2 and null.is_null and not null.is_empty_complex
 
-    def test_one_face_bucketing(self, rng, no_facets):
+    def test_one_face_bucketing(self, rng):
         for _ in range(40):
             faces = random_complex(rng).face_set()
             k = SimplicialComplex.from_faces(6, faces)
@@ -115,7 +103,8 @@ class TestComplexBasics:
             assert k.faces_by_dim() == _by_dim(faces) == buckets
             assert k.dim == max(buckets)
 
-    def test_lazy_facets_match_from_facets(self, rng):
+    def test_from_faces_facets_match_from_facets(self, rng):
+        """The one-vertex-less rule of ``from_faces`` against the column rule of ``from_facets``."""
         for _ in range(40):
             p = random_poset(rng)
             k = order_complex(p)
@@ -138,12 +127,22 @@ class TestComplexBasics:
             ):
                 assert k.facets == vertex_probe_facets(k)
 
-    def test_homology_path_needs_no_facets(self, rng, no_facets):
-        for _ in range(20):
-            p = random_intersection_closed_poset(rng)
-            reduced_homology(order_complex(p), GF3)
-            betti_via_intervals(p, GF3)
-            homological_dimension(class_from_poset(p), GF3)
+    def test_from_facets_matches_the_pair_scan(self, rng):
+        families = [[], [0], [0, 0], [0, 0b1], [0b101, 0b101, 0b1], [0, 1 << 99, 1 << 99]]
+        for _ in range(300):
+            nv = rng.choice([1, 3, 6, 10, 100])
+            masks = [rng.getrandbits(nv) for _ in range(rng.randint(1, 30))]
+            masks += rng.choices(masks, k=rng.randint(0, 5))  # duplicates
+            chain = rng.choice(masks)
+            while chain:  # a nested chain under one mask
+                chain &= chain - 1 if rng.getrandbits(1) else rng.getrandbits(nv)
+                masks.append(chain)
+            if rng.getrandbits(1):
+                masks.append(0)
+            families.append(rng.sample(masks, len(masks)))
+        for masks in families:
+            k = SimplicialComplex.from_facets(100, masks)
+            assert k.facets == reference_maximal(masks)
 
 
 class TestOrderComplex:

@@ -199,11 +199,9 @@ def _cmd_mobius(args) -> int:
     poset = _as_poset(_load_input(args))
     if args.all:
         names = [str(e) for e in poset.elements]
-        lines = []
         for i, a in enumerate(names):
-            lines.append(f"{a} {a} 1\n")
-            lines.extend(f"{a} {names[j]} {mu}\n" for j, _, _, mu, _ in poset.intervals_above(i))
-        sys.stdout.write("".join(lines))
+            rows = "".join(f"{a} {names[j]} {mu}\n" for j, _, _, mu, _ in poset.intervals_above(i))
+            sys.stdout.write(f"{a} {a} 1\n{rows}")
         return 0
     bottom, top = poset.bottom(), poset.top()
     if bottom is None or top is None:

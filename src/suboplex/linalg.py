@@ -1,28 +1,30 @@
-"""Exact linear algebra over prime fields GF(p) and the rationals.
+"""Exact linear algebra over prime fields GF(p) and the rationals, on ints.
 
 Ranks are computed by one sparse column reduction, the one persistent
 homology uses (Edelsbrunner-Harer, *Computational Topology*, ch. VII).
 Columns are reduced one at a time against a dict of pivots keyed by
 row.  A column's pivot is its *highest* nonzero row index: while the
-pivot dict already holds a column with the same pivot, that column is
-subtracted to clear the entry; a column left nonzero becomes a new
-pivot, and one reduced to zero is dependent.  The rank is the number
-of pivots; linear matroid closures read the pivots themselves, from
-``pivot_columns`` or, on int bit masks, ``pivot_bits``.  The pivot
-side matters for speed, not for the result: pivoting on the lowest
-row instead made kcnf(d=4, k=2)'s ``betti_via_intervals`` over GF(2)
-take 1.3-2.1 s rather than 0.7-1.3 s on a 2-CPU Xeon VM.
+pivot dict already holds a column u with the same pivot, the column v
+becomes a*v - b*u, with a = u[top] and b = v[top] divided by their
+gcd; a column left nonzero becomes a new pivot, and one reduced to
+zero is dependent.  The rank is the number of pivots; linear matroid
+closures read the pivots themselves, from ``pivot_columns`` or, on int
+bit masks, ``pivot_bits``.  The pivot side matters for speed, not for
+the result: pivoting on the lowest row instead made kcnf(d=4, k=2)'s
+``betti_via_intervals`` over GF(2) take 1.3-2.1 s rather than 0.7-1.3 s
+on a 2-CPU Xeon VM.
 
-Over GF(2) a column is a Python int bit mask, reduced with XOR.  Over
-GF(p) and Q it is a ``{row: coefficient}`` dict, with coefficients
-reduced mod p or kept as ``fractions.Fraction``; pivots are stored
-scaled to a leading coefficient of 1.  Memory is proportional to the
-nonzeros, never to rows times columns.  ``fractions`` is imported by
-the first rank over Q, so other calls never load it.
+Over GF(2) a column is an int bit mask, reduced with XOR; over GF(p)
+and Q, a ``{row: int}`` dict, whose memory is proportional to its
+nonzeros.  GF(p) entries are taken mod p and pivots stored monic, so a
+is 1.  Q pivots are stored primitive, divided by the gcd of their
+entries signed as the top one.  Only ranks and pivot supports are read,
+so no fraction is needed (fraction-free elimination: Bareiss, 1968).
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Sequence
 
 from .bitsets import Value
@@ -100,32 +102,24 @@ def rank_from_columns(
     """
     if field.p != 2:
         return len(pivot_columns(columns, field))
-    bits: dict[int, int] = {}
+    masks = []
     for col in columns:
         v = 0
         for r, c in col:
             if c & 1:
                 v ^= 1 << r
-        while v:
-            top = v.bit_length() - 1
-            u = bits.get(top)
-            if u is None:
-                bits[top] = v
-                break
-            v ^= u
-    return len(bits)
+        masks.append(v)
+    return len(pivot_bits(masks))
 
 
-def pivot_columns(columns: Iterable[SparseColumn], field: FieldSpec) -> dict:
+def pivot_columns(columns: Iterable[SparseColumn], field: FieldSpec) -> dict[int, dict[int, int]]:
     """The reduced columns left nonzero, as ``{row: coefficient}`` dicts
     keyed by their pivot row.  ``pivot_bits`` does the same over GF(2)
     for columns given as int bit masks."""
     p = field.p
-    if p is None:
-        from fractions import Fraction
-    pivots: dict[int, dict[int, int | Fraction]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for col in columns:
-        v: dict[int, int | Fraction] = {}
+        v: dict[int, int] = {}
         for r, c in col:
             x = v.get(r, 0) + c
             if p:
@@ -138,14 +132,20 @@ def pivot_columns(columns: Iterable[SparseColumn], field: FieldSpec) -> dict:
             top = max(v)
             u = pivots.get(top)
             if u is None:
-                inv = pow(v[top], -1, p) if p else 1 / Fraction(v[top])
-                pivots[top] = {
-                    r: x * inv % p if p else x * inv for r, x in v.items()
-                }
+                if p:
+                    inv = pow(v[top], -1, p)
+                    pivots[top] = {r: x * inv % p for r, x in v.items()}
+                else:
+                    g = gcd(*v.values()) if v[top] > 0 else -gcd(*v.values())
+                    pivots[top] = {r: x // g for r, x in v.items()}
                 break
-            f = v[top]
+            a, b = u[top], v[top]
+            if a != 1:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                v = {r: a * x for r, x in v.items()}
             for r, c in u.items():
-                x = v.get(r, 0) - f * c
+                x = v.get(r, 0) - b * c
                 if p:
                     x %= p
                 if x:

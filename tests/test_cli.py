@@ -553,6 +553,18 @@ class TestErrors:
             )
         assert code == 2 and "capped" in err
 
+    def test_vc_oracle_cap_exits_2_at_once(self):
+        """256 members on 16 points pass every other cap; the oracle's scan would take seconds."""
+        spec = json.dumps({"n": 16, "functions": [format(m * 257, "016b") for m in range(256)]})
+        start = time.monotonic()
+        out = run_child_within_a_gib("oracle", "vcdim", "--build", "class:" + spec)
+        elapsed = time.monotonic() - start
+        assert (out.returncode, out.stdout) == (2, ""), out.stderr
+        assert out.stderr.splitlines() == [
+            "error: VC oracle is capped at 16777216 steps, 2^n * (members + 1), got 16842752"
+        ]
+        assert elapsed < 1.0
+
     def test_usage_error_exits_1(self, capsys, flag_poset_file):
         code, _, err = run(capsys, "vcdim", "--method", "brute", "--input", flag_poset_file)
         assert code == 1 and "unrecognized arguments: --method" in err
@@ -726,16 +738,17 @@ def test_import_does_not_load_numpy():
 
 
 def test_import_loads_no_dataclasses_or_fractions():
-    """A call pays only for what it uses: ``fractions`` loads once a Q rank runs, and
-    parsing the command line loads neither ``argparse`` nor what it pulls in."""
+    """A call pays only for what it uses: ranks over Q run on ints, so ``fractions``
+    and ``decimal`` never load, and parsing the command line loads neither
+    ``argparse`` nor what it pulls in."""
     src = str(Path(suboplex.__file__).resolve().parent.parent)
     code = f"""
 import sys
 import suboplex.cli
-never = {{"dataclasses", "inspect", "argparse", "gettext", "locale"}}
-print(sorted((never | {{"fractions", "decimal"}}) & set(sys.modules)))
+never = {{"dataclasses", "inspect", "argparse", "gettext", "locale", "fractions", "decimal"}}
+print(sorted(never & set(sys.modules)))
 code = suboplex.cli.main(["betti", "--build", {U11_U23_BUILD!r}, "--field", "Q"])
-print("fractions" in sys.modules, code)
+print(sorted(never & set(sys.modules)), code)
 codes = [suboplex.cli.main(argv) for argv in (["betti", "--help"], ["betti", "--f", "2"])]
 print(sorted(never & set(sys.modules)), codes)
 """
@@ -747,7 +760,7 @@ print(sorted(never & set(sys.modules)), codes)
     lines = out.stdout.splitlines()
     assert lines[0] == "[]"
     assert "\n".join(lines[1:4]) == U11_U23_BETTI_TEXT
-    assert lines[4] == "True 0"
+    assert lines[4] == "[] 0"
     assert lines[5].startswith("usage: suboplex betti")
     assert lines[-1] == "[] [0, 1]"
 
@@ -824,6 +837,40 @@ def test_kcnf_betti_json_through_a_pipe():
     out = cli_child("betti", "--build", KCNF32_BUILD, "--field", "2", "--format", "json")
     assert (out.returncode, out.stderr) == (0, "")
     assert out.stdout == workloads.load_expected("kcnf")["betti_gf2"]
+
+
+# Runs the CLI on its argv and prints the exit code, the stdout line count
+# and the child's peak RSS in MB from ``wait4``.  A process inherits its
+# parent's peak RSS at exec, whether it was forked or spawned, so a child of
+# pytest reads at least pytest's heap; a child of this small script does not.
+PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "suboplex.cli", *sys.argv[1:]],
+                        stdout=subprocess.PIPE)
+lines = sum(chunk.count(b"\\n") for chunk in iter(lambda: proc.stdout.read(1 << 16), b""))
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, lines, usage.ru_maxrss // 1024)
+"""
+
+
+def test_mobius_all_streams_each_bottom():
+    """``mobius --all`` writes each bottom's lines as they come, so the 3^11
+    lines of U(11,11) never sit in memory together: the call peaks within a
+    few MB of a two-line table (41 MB against 17 MB when it joined them)."""
+
+    def run_peak(k):
+        spec = f'matroid:{{"type":"uniform","k":{k},"m":{k}}}'
+        out = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, "mobius", "--all", "--build", spec],
+            env=CHILD_ENV, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        code, lines, peak_mb = map(int, out.stdout.split())
+        assert (code, lines) == (0, 3**k)
+        return peak_mb
+
+    assert run_peak(11) - run_peak(1) < 8
 
 
 def test_degenerate_class_warning_reaches_stderr():

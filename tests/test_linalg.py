@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import suboplex
-from conftest import assert_value_type
+from bundled import bundled_posets
+from conftest import assert_value_type, refuse_everywhere
 from suboplex.errors import CapExceededError
 from suboplex.linalg import (
     FIELD_MAX_CHARACTERISTIC,
@@ -16,6 +17,7 @@ from suboplex.linalg import (
     QQ,
     FieldSpec,
     ValidationError,
+    pivot_columns,
     rank_from_columns,
 )
 
@@ -167,6 +169,30 @@ class TestRankFromColumns:
                 got = rank_from_columns(to_columns(a), len(a), field)
                 assert got == dense_rank(a, field.p) <= k, (a, field)
 
+    def test_entries_grow_past_one(self, rng):
+        # reductions over Q multiply columns by pivot entries, so large
+        # coefficients and low-rank products reach entries far past +-1;
+        # the largest prime field never has a larger rank than Q
+        p31 = FieldSpec(FIELD_MAX_CHARACTERISTIC)
+        largest = 0
+        for _ in range(60):
+            if rng.random() < 0.5:
+                rows = random_matrix(rng, range(-10**6, 10**6 + 1), 10)
+            else:
+                k = rng.randint(1, 5)
+                b = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(rng.randint(1, 10))]
+                c = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 10))] for _ in range(k)]
+                rows = [[sum(x * y for x, y in zip(r, col)) for col in zip(*c)] for r in b]
+            cols = to_columns(rows)
+            over_q = rank_from_columns(cols, len(rows), QQ)
+            assert over_q == dense_rank(rows, None), rows
+            for field in (GF2, GF3, p31):
+                got = rank_from_columns(cols, len(rows), field)
+                assert got == dense_rank(rows, field.p) <= over_q, (rows, field)
+            pivots = pivot_columns(cols, QQ)
+            largest = max([largest, *(abs(x) for u in pivots.values() for x in u.values())])
+        assert largest > 10**6
+
     def test_wide_gf2_columns(self, rng):
         # more than 64 rows, so column masks span several machine words
         rows = [[rng.randint(0, 1) for _ in range(40)] for _ in range(150)]
@@ -185,6 +211,26 @@ class TestRankFromColumns:
         for field in FIELDS:
             assert rank_from_columns([[(1, 1), (1, -1)]], 2, field) == 0
         assert rank_from_columns([[(1, 1), (1, 1)]], 2, GF3) == 1
+
+
+@pytest.mark.parametrize("name", sorted(bundled_posets()))
+def test_q_tables_match_the_dense_reference(monkeypatch, name):
+    poset = bundled_posets()[name]
+    fast = suboplex.betti_via_intervals(poset, QQ)
+    calls = []
+
+    def reference_rank(columns, nrows, field):
+        calls.append(field)
+        rows = [[0] * len(columns) for _ in range(nrows)]
+        for j, col in enumerate(columns):
+            for r, c in col:
+                rows[r][j] += c
+        return dense_rank(rows, field.p)
+
+    refuse_everywhere(monkeypatch, rank_from_columns, reference_rank)
+    assert suboplex.betti_via_intervals(poset, QQ) == fast
+    # two elements make one cover, whose homology needs no rank
+    assert set(calls) == ({QQ} if len(poset.elements) > 2 else set())
 
 
 def test_large_sparse_gf3_stays_under_address_space_cap():

@@ -26,7 +26,12 @@ from suboplex import (
     vc_dimension,
     vc_oracle,
 )
-from suboplex.oracles import ORACLE_MAX_VARIABLES, _membership_table, upper_koszul_slice
+from suboplex.oracles import (
+    ORACLE_MAX_VARIABLES,
+    VC_ORACLE_MAX_WORK,
+    _membership_table,
+    upper_koszul_slice,
+)
 
 
 def mono(n: int, s0: str, s1: str) -> SquarefreeMonomial:
@@ -155,5 +160,11 @@ class TestVcOracle:
             assert vc_oracle(c) <= homological_dimension(c)
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
-            vc_oracle(FunctionClass.from_masks(21, [0]))
+        # 2^16 subsets times (256 members + 1) is past the cap, which admits
+        # 255 members on the same 16 points
+        assert VC_ORACLE_MAX_WORK == 2**24
+        with pytest.raises(CapExceededError) as info:
+            vc_oracle(FunctionClass.from_masks(16, range(256)))
+        assert str(info.value) == (
+            "VC oracle is capped at 16777216 steps, 2^n * (members + 1), got 16842752"
+        )

@@ -393,3 +393,17 @@ def import_graph() -> list[str]:
 
 def test_module_level_import_graph():
     assert import_graph() == IMPORT_GRAPH
+
+
+def test_no_module_imports_fractions():
+    """Ranks over Q run on ints, so no import anywhere in a module, at load or
+    inside a function, may bring in ``fractions`` or the ``decimal`` it loads."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            assert not {n.split(".")[0] for n in names} & {"fractions", "decimal"}, path

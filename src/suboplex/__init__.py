@@ -55,13 +55,12 @@ __all__, __getattr__, __dir__ = _lazy_package(globals(), {
     "bitsets": ("Subset",),
     "classes": (
         "FunctionClass", "IdealGenerators", "PartialFunction", "SquarefreeMonomial",
-        "class_from_poset", "collapse_membership", "delta", "dual_ideal", "extentures",
-        "flip_class", "intersect", "is_shattered", "monomial", "shatter_complex",
-        "suboplex_ideal", "vc_dimension", "warn_if_degenerate",
+        "class_from_poset", "dual_ideal", "extentures", "is_shattered", "monomial",
+        "shatter_complex", "suboplex_ideal", "vc_dimension", "warn_if_degenerate",
     ),
     "complexes": (
         "HomologyProfile", "SimplicialComplex", "is_cohen_macaulay", "order_complex",
-        "reduced_euler_characteristic", "reduced_homology", "truncated_order_complex",
+        "reduced_homology", "truncated_order_complex",
     ),
     "errors": ("CapExceededError", "ValidationError"),
     "homology": ("interval_homology", "is_interval_cm"),

@@ -58,14 +58,6 @@ def face_poset(x: CellComplexInput) -> SubsetPoset:
     return SubsetPoset.from_masks(x.num_vertices, intersection_closure(x.faces))
 
 
-def simplex_input(num_vertices: int) -> CellComplexInput:
-    """A solid simplex with all its faces listed explicitly."""
-    check_ground(num_vertices)
-    return CellComplexInput(
-        num_vertices, tuple(range(1, 1 << num_vertices))
-    )
-
-
 def cube_faces(d: int) -> list[int]:
     """Vertex-set masks of all 3^d faces of the d-cube."""
     faces = []

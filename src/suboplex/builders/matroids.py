@@ -1,11 +1,10 @@
-"""Matroids given by rank functions, their flat lattices, and minors.
+"""Matroids given by rank functions, and their flat lattices.
 
 Supported constructions: uniform matroids, linear matroids over a
 prime field (columns of a matrix are the ground elements), graphic
 matroids (cycle matroids of edge lists), and direct sums.  Flats are
 enumerated level by level, one closure per cover, and a linear
-matroid's closure takes one row elimination; a minor keeps a reference
-to the base matroid and shifts its rank function.
+matroid's closure takes one row elimination.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .. import linalg  # runs on first use: uniform, graphic and direct-sum flats never need it
-from ..bitsets import Subset
 from ..errors import CapExceededError, ValidationError
 from ..posets import SubsetPoset, check_members
 
@@ -45,18 +43,6 @@ class Matroid:
             self._rank_cache[mask] = hit
         return hit
 
-    def _check_subset(self, a: Subset) -> Subset:
-        if not isinstance(a, Subset) or a.n != self.m:
-            raise ValidationError(f"{a!r} is not a subset of the ground set [{self.m}]")
-        return a
-
-    def rank(self, a: Subset) -> int:
-        return self.rank_mask(self._check_subset(a).bits)
-
-    @property
-    def full_rank(self) -> int:
-        return self.rank_mask((1 << self.m) - 1)
-
     def closure_mask(self, mask: int) -> int:
         r = self.rank_mask(mask)
         out = mask
@@ -65,16 +51,6 @@ class Matroid:
             if not mask & bit and self.rank_mask(mask | bit) == r:
                 out |= bit
         return out
-
-    def closure(self, a: Subset) -> Subset:
-        return Subset(self.m, self.closure_mask(self._check_subset(a).bits))
-
-    def loops(self) -> Subset:
-        return Subset(self.m, self.closure_mask(0))
-
-    def is_flat(self, a: Subset) -> bool:
-        mask = self._check_subset(a).bits
-        return self.closure_mask(mask) == mask
 
     def flats(self) -> SubsetPoset:
         """The lattice of flats, built level by level from the bottom flat
@@ -110,10 +86,6 @@ class Matroid:
             covers.append(g)
             rest &= ~g
         return covers
-
-    def minor(self, f: Subset, g: Subset) -> "MinorMatroid":
-        return MinorMatroid(self, f, g)
-
 
 class UniformMatroid(Matroid):
     """U(k, m): rank of A is min(|A|, k)."""
@@ -254,34 +226,3 @@ class DirectSumMatroid(Matroid):
         for part, off in zip(self.parts, self._offsets):
             total += part.rank_mask((mask >> off) & ((1 << part.m) - 1))
         return total
-
-
-class MinorMatroid(Matroid):
-    """Restriction to a flat G then contraction by a flat F inside it.
-
-    The ground set is G without F, relabeled in increasing order; the
-    rank of A is rank(A | F) - rank(F) in the base matroid.
-    """
-
-    def __init__(self, base: Matroid, f: Subset, g: Subset) -> None:
-        base._check_subset(f)
-        base._check_subset(g)
-        if not f.issubset(g):
-            raise ValidationError("minor needs nested flats F <= G")
-        if not base.is_flat(f) or not base.is_flat(g):
-            raise ValidationError("minor endpoints must be flats")
-        ground = [i for i in range(base.m) if (g.bits >> i & 1) and not (f.bits >> i & 1)]
-        if not ground:
-            raise ValidationError("minor has an empty ground set")
-        super().__init__(len(ground))
-        self.base = base
-        self._lift = tuple(ground)
-        self._f_bits = f.bits
-        self._rank_f = base.rank_mask(f.bits)
-
-    def _rank_mask(self, mask: int) -> int:
-        lifted = self._f_bits
-        for i, e in enumerate(self._lift):
-            if mask >> i & 1:
-                lifted |= 1 << e
-        return self.base.rank_mask(lifted) - self._rank_f

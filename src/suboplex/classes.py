@@ -4,23 +4,21 @@ A class is stored as the set of 1-preimages of its members.  This
 module computes shattering and VC dimension (by one scan of the
 members per candidate set), extentures (minimal non-extendable partial
 functions, as the minimal transversals of the literals each member
-violates), the generators of the associated squarefree ideal and of
-its dual, and the collapse-map membership test that reads VC dimension
-off the ideal.
+violates), and the generators of the associated squarefree ideal and
+of its dual.
 
 A ``PartialFunction`` is a disjoint pair (ones, zeros) of subsets.  A
 ``SquarefreeMonomial`` lives in the 2n variables x(i,0), x(i,1) and is
 stored as two width-n bit vectors (the indices where x(i,0),
-respectively x(i,1), appears), so divisibility and lcm are O(1) mask
-operations.  The dictionary between nested pairs A <= B, partial
-functions and monomials:
+respectively x(i,1), appears).  A nested pair A <= B gives
 
-    delta(A, B): the partial function sending A to 1 and [n]\\B to 0,
-    m(A, B):     the monomial with support0 = B and support1 = [n]\\A,
-                 of degree n + |B \\ A|.
+    m(A, B): the monomial with support0 = B and support1 = [n]\\A,
+             of degree n + |B \\ A|,
 
-Restriction of partial functions corresponds to divisibility of
-monomials, and intersection of partial functions to lcm.
+the label of the interval [A, B] in a Betti table.  The rest of the
+dictionary (delta(A, B), which sends A to 1 and [n]\\B to 0, with
+restriction mirrored by divisibility and intersection by lcm) is
+checked by the tests, with the helpers in ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -63,10 +61,6 @@ class PartialFunction(Value):
     def domain(self) -> Subset:
         return self.ones | self.zeros
 
-    @property
-    def is_total(self) -> bool:
-        return self.domain.bits == (1 << self.n) - 1
-
     def pattern(self) -> str:
         out = []
         for i in range(self.n):
@@ -80,11 +74,6 @@ class PartialFunction(Value):
 
     def __str__(self) -> str:
         return self.pattern()
-
-    def restricts(self, other: "PartialFunction") -> bool:
-        """True iff ``other`` extends ``self`` (agrees on self's domain)."""
-        return self.ones.issubset(other.ones) and self.zeros.issubset(other.zeros)
-
 
 class SquarefreeMonomial(Value):
     """A squarefree monomial in x(i,0), x(i,1) for i in [n].
@@ -106,41 +95,9 @@ class SquarefreeMonomial(Value):
     def n(self) -> int:
         return self.support0.n
 
-    @classmethod
-    def one(cls, n: int) -> "SquarefreeMonomial":
-        return cls(Subset.empty(n), Subset.empty(n))
-
     @property
     def degree(self) -> int:
         return self.support0.size + self.support1.size
-
-    @property
-    def has_full_support(self) -> bool:
-        """True iff x(i,0) or x(i,1) appears for every i in [n]."""
-        return (self.support0.bits | self.support1.bits) == (1 << self.n) - 1
-
-    def divides(self, other: "SquarefreeMonomial") -> bool:
-        self.support0._check_mate(other.support0)
-        return self.support0.issubset(other.support0) and self.support1.issubset(
-            other.support1
-        )
-
-    def lcm(self, other: "SquarefreeMonomial") -> "SquarefreeMonomial":
-        return SquarefreeMonomial(
-            self.support0 | other.support0, self.support1 | other.support1
-        )
-
-    def set_pair(self) -> tuple[Subset, Subset]:
-        """Recover the unique A <= B with self == m(A, B).
-
-        Only monomials with full support union arise this way; then
-        A = complement of support1 and B = support0.
-        """
-        if not self.has_full_support:
-            raise ValidationError(
-                "monomial lacks full support union; it is not of the form m(A, B)"
-            )
-        return self.support1.complement(), self.support0
 
     def __str__(self) -> str:
         vars_: list[str] = []
@@ -152,14 +109,6 @@ class SquarefreeMonomial(Value):
         return "*".join(vars_) if vars_ else "1"
 
 
-def delta(a: Subset, b: Subset) -> PartialFunction:
-    """The partial function delta(A, B): 1 on A, 0 off B; requires A <= B."""
-    a._check_mate(b)
-    if not a.issubset(b):
-        raise ValidationError("delta(A, B) requires A to be a subset of B")
-    return PartialFunction(ones=a, zeros=b.complement())
-
-
 def monomial(a: Subset, b: Subset) -> SquarefreeMonomial:
     """The monomial m(A, B) with support0 = B, support1 = [n]\\A; requires A <= B.
 
@@ -169,15 +118,6 @@ def monomial(a: Subset, b: Subset) -> SquarefreeMonomial:
     if a.bits & ~b.bits:
         raise ValidationError("m(A, B) requires A to be a subset of B")
     return SquarefreeMonomial(b, a.complement())
-
-
-def intersect(f: PartialFunction, g: PartialFunction) -> PartialFunction:
-    """The largest partial function that both f and g extend.
-
-    Defined where f and g agree; componentwise intersection of the
-    (ones, zeros) pairs.
-    """
-    return PartialFunction(ones=f.ones & g.ones, zeros=f.zeros & g.zeros)
 
 
 class FunctionClass:
@@ -511,17 +451,12 @@ def extentures(c: FunctionClass) -> tuple[PartialFunction, ...]:
     return c._extentures
 
 
-def _generator_order(m: SquarefreeMonomial) -> tuple[int, int, int]:
-    return (m.degree, m.support0.bits, m.support1.bits)
-
-
 class IdealGenerators(Value):
     """A minimal generating antichain of a squarefree monomial ideal.
 
-    ``minimal`` prunes generators divisible by another and sorts the
-    rest by (degree, support0, support1); ``suboplex_ideal`` and
-    ``dual_ideal`` build the same tuple directly, since they know
-    which of their generators can divide another.
+    ``suboplex_ideal`` and ``dual_ideal`` build it sorted by (degree,
+    support0, support1), since they know which of their generators can
+    divide another.
     """
 
     _fields = ("n", "gens")
@@ -536,17 +471,6 @@ class IdealGenerators(Value):
             if g.n != n:
                 raise ValidationError("generator ground size mismatch")
         self._assign(n, gens)
-
-    @classmethod
-    def minimal(cls, n: int, gens: Iterable[SquarefreeMonomial]) -> "IdealGenerators":
-        pool = list(dict.fromkeys(gens))
-        keep = [
-            g
-            for g in pool
-            if not any(h is not g and h.divides(g) for h in pool)
-        ]
-        keep.sort(key=_generator_order)
-        return cls(n, tuple(keep))
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -573,7 +497,7 @@ def suboplex_ideal(c: FunctionClass) -> IdealGenerators:
         if 1 << i not in points:
             point = Subset(n, 1 << i)
             gens.append(SquarefreeMonomial(support0=point, support1=point))
-    gens.sort(key=_generator_order)
+    gens.sort(key=lambda m: (m.degree, m.support0.bits, m.support1.bits))
     return IdealGenerators(n, tuple(gens))
 
 
@@ -581,29 +505,9 @@ def dual_ideal(c: FunctionClass) -> IdealGenerators:
     """One degree-n generator per member: m(A, A) for the 1-preimage A.
 
     These are distinct monomials of one degree, so none divides another,
-    and ascending member order is ``IdealGenerators.minimal``'s order.
+    and ascending member order is the (degree, support0, support1) order.
     """
     return IdealGenerators(
         c.n,
         tuple(SquarefreeMonomial(support0=a, support1=a.complement()) for a in c.members),
     )
-
-
-def collapse_membership(c: FunctionClass, u: Subset) -> bool:
-    """Whether the squarefree image of prod_{i in U} y_i lies in the collapsed ideal.
-
-    Collapsing x(i,b) to y_i turns functional monomials into squares
-    (which never divide a squarefree monomial) and extenture monomials
-    into products over their domains, so membership reduces to: does
-    some extenture have its domain inside U?
-    """
-    if not isinstance(u, Subset) or u.n != c.n:
-        raise ValidationError(f"{u!r} does not live on ground size {c.n}")
-    return any(f.domain.issubset(u) for f in extentures(c))
-
-
-def flip_class(c: FunctionClass, mask: Subset) -> FunctionClass:
-    """XOR every member's 1-preimage with ``mask`` (output-flip action)."""
-    if not isinstance(mask, Subset) or mask.n != c.n:
-        raise ValidationError(f"{mask!r} does not live on ground size {c.n}")
-    return FunctionClass(c.n, [m ^ mask for m in c.members])

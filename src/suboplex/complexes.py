@@ -141,9 +141,6 @@ class SimplicialComplex:
             return -2
         return max(f.bit_count() for f in self.facets) - 1
 
-    def f_vector(self) -> dict[int, int]:
-        return {d: len(fs) for d, fs in self.faces_by_dim().items()}
-
     def __contains__(self, face: int) -> bool:
         return face in self.face_set()
 
@@ -160,16 +157,6 @@ class SimplicialComplex:
         return SimplicialComplex.from_faces(
             self.num_vertices, [h ^ face for h in faces if h & face == face]
         )
-
-
-def reduced_euler_characteristic(k: SimplicialComplex) -> int:
-    """Alternating face-count sum over dimensions >= -1; 0 for the null complex."""
-    if k.is_null:
-        return 0
-    total = 0
-    for d, faces in k.faces_by_dim().items():
-        total += len(faces) if d % 2 == 0 else -len(faces)
-    return total
 
 
 class HomologyProfile(Value):

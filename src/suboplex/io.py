@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from .bitsets import Subset, _bits, is_int
-from .errors import ValidationError
+from .bitsets import MAX_GROUND, Subset, _bits, is_int
+from .errors import CapExceededError, ValidationError
 from .posets import SubsetPoset
 
 if TYPE_CHECKING:
@@ -33,6 +33,10 @@ if TYPE_CHECKING:
     from .builders.matroids import Matroid
     from .classes import FunctionClass
     from .complexes import SimplicialComplex
+
+# A facet's mask is as wide as its largest vertex + 1, so the masks' summed
+# width is capped before any is built: 16 MiB, a few times that while read.
+COMPLEX_MAX_MASK_BITS = 1 << 27
 
 
 def _require(data: Any, key: str, what: str, kind: type = object) -> Any:
@@ -90,17 +94,20 @@ def complex_from_json(data: Any) -> SimplicialComplex:
     facets = _require(data, "facets", "complex", list)
     if nv < 0:
         raise ValidationError(f"complex vertex count must be a nonnegative integer, got {nv!r}")
-    masks = []
+    width = 0
     for face in facets:
         if not isinstance(face, list):
             raise ValidationError(f"complex facet {face!r} must be a vertex list")
-        mask = 0
         for v in face:
             if not is_int(v) or not 0 <= v < nv:
                 raise ValidationError(f"facet vertex {v!r} out of range({nv})")
-            mask |= 1 << v
-        masks.append(mask)
-    return SimplicialComplex.from_facets(nv, masks)
+        width += max(face, default=-1) + 1
+    if width > COMPLEX_MAX_MASK_BITS:
+        raise CapExceededError(
+            f"complex input is capped at {COMPLEX_MAX_MASK_BITS} facet mask bits "
+            f"(largest vertex + 1, summed over the facets), got {width}"
+        )
+    return SimplicialComplex.from_facets(nv, [sum(1 << v for v in set(face)) for face in facets])
 
 
 def complex_to_json(k: SimplicialComplex) -> dict:
@@ -164,6 +171,8 @@ def formula_from_json(data: Any) -> FormulaClassSpec:
     if kind == "csp":
         if d < 1:
             raise ValidationError(f"csp spec needs a positive integer d, got {d!r}")
+        if d >= MAX_GROUND.bit_length():  # 2^d > MAX_GROUND, tested without the shift
+            raise ValidationError(f"csp spec needs 2^d <= {MAX_GROUND} ground points, got d = {d}")
         raw = _require(data, "generators", "csp spec")
         gens = tuple(s.bits for s in _bit_strings(raw, 1 << d, "csp generators"))
         return FormulaClassSpec("csp", d, generators=gens)

@@ -17,7 +17,8 @@ every interval [A, B] onto an isomorphic interval [gA, gB] (Stanley,
 interval invariant is constant on the orbits of intervals, so the
 sweeps read ``interval_orbits``: one pass from one bottom per element
 orbit, each interval standing for its orbit.  Equality, hashing and
-restrictions ignore the symmetry; ``intervals`` still lists every pair.
+restrictions ignore the symmetry; ``intervals_above`` from every bottom
+lists every pair.
 """
 
 from __future__ import annotations
@@ -228,11 +229,6 @@ class SubsetPoset:
         if s.bits not in self._index:
             raise ValidationError(f"subset {s} is not an element of the poset")
 
-    def leq(self, a: Subset, b: Subset) -> bool:
-        self._require_member(a)
-        self._require_member(b)
-        return a.bits & b.bits == a.bits
-
     def rank(self) -> int:
         """Length of the longest chain (elements minus one along it)."""
         if not self._masks:
@@ -304,13 +300,6 @@ class SubsetPoset:
             chains[j] = c
             yield j, hi + 1, not ungraded & (down[j] | low), -m, c
 
-    def intervals(self) -> Iterator[tuple[int, int, int, bool, int, int]]:
-        """``(i, j, rank, graded, mu, chains)`` for every e_i < e_j, from
-        ``intervals_above`` by ascending i, then ascending j."""
-        for i in range(len(self._masks)):
-            for row in self.intervals_above(i):
-                yield (i, *row)
-
     def _orbit(self, seen: set[int], i: int, j: int) -> list[tuple[int, int]]:
         """The orbit of the pair (i, j) under the generators, (i, j) first.
 
@@ -341,20 +330,17 @@ class SubsetPoset:
     ) -> Iterator[tuple[tuple[int, int, int, bool, int, int], list[tuple[int, int]]]]:
         """``(row, pairs)`` for each orbit of pairs e_i < e_j under the symmetry group.
 
-        ``row`` is the ``intervals`` row of the orbit's least pair, and
-        ``pairs`` lists every (i, j) of the orbit, that one first; all of
-        them share its rank, gradedness, mu and chain count.  Only the
-        bottoms from ``orbit_representatives`` run ``intervals_above``.
+        ``row`` is ``(i, *r)`` for the ``intervals_above(i)`` row r of the
+        orbit's least pair (i, j), and ``pairs`` lists every pair of the
+        orbit, that one first; all of them share its rank, gradedness, mu
+        and chain count.  Only the bottoms from ``orbit_representatives``
+        run ``intervals_above``.
         """
         seen: set[int] = set()
         for i in self.orbit_representatives():
             for row in self.intervals_above(i):
                 if i * len(self._masks) + row[0] not in seen:
                     yield (i, *row), self._orbit(seen, i, row[0])
-
-    def cover_relations(self) -> list[tuple[Subset, Subset]]:
-        e = self.elements
-        return [(e[i], e[j]) for i, cov in enumerate(self._covers_up) for j in _bits(cov)]
 
     def is_intersection_closed(self) -> bool:
         """True iff the AND of every two members is a member; scanned once."""
@@ -374,18 +360,6 @@ class SubsetPoset:
         tested.  Under the trivial group these are all pairs i < j.
         """
         return and_closed(self._masks, self._index, self.orbit_representatives())
-
-    def closure(self, a: Subset) -> Subset | None:
-        """Intersection of all elements containing ``a``; None if there are none."""
-        if not isinstance(a, Subset) or a.n != self.n:
-            raise ValidationError(f"{a!r} does not belong to this ground set")
-        acc = -1
-        for m in self._masks:
-            if a.bits & m == a.bits:
-                acc &= m
-        if acc == -1:
-            return None
-        return Subset(self.n, acc)
 
     def bottom(self) -> Subset | None:
         """The unique minimal element, if the poset is bounded below.
@@ -445,11 +419,6 @@ class SubsetPoset:
             for j in above[last]:
                 stack.append((mask | (1 << j), j))
 
-    def chains(self) -> Iterator[tuple[Subset, ...]]:
-        """All chains as strictly increasing element tuples."""
-        for mask in self.chain_masks():
-            yield tuple(self.elements[i] for i in _bits(mask))
-
     def interval(self, a: Subset, b: Subset, open: bool = False) -> "Interval":
         self._require_member(a)
         self._require_member(b)
@@ -485,11 +454,6 @@ class Interval(Value):
 
     def __init__(self, lo: Subset, hi: Subset, members: SubsetPoset, is_open: bool = False) -> None:
         self._assign(lo, hi, members, is_open)
-
-    def rank(self) -> int:
-        if self.is_open:
-            raise ValidationError("rank of an open interval is taken on its closure")
-        return self.members.rank()
 
     def open_members(self) -> SubsetPoset:
         if self.is_open:

@@ -8,6 +8,7 @@ edge (edge 0 the pendant, edges 1,2,3 the triangle).
 
 from __future__ import annotations
 
+from references import simplex_input
 from suboplex.builders import (
     CellComplexInput,
     DirectSumMatroid,
@@ -17,7 +18,6 @@ from suboplex.builders import (
     UniformMatroid,
     cube_complex,
     face_poset,
-    simplex_input,
 )
 from suboplex.classes import FunctionClass, class_from_poset
 from suboplex.posets import SubsetPoset

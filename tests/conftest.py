@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from references import divides, set_pair
 from suboplex import (
     GF2,
     BettiTable,
@@ -186,7 +187,7 @@ def cellular_resolution(p: SubsetPoset) -> LabeledComplex:
     for faces in k.faces_by_dim().values():
         for f in faces:
             if f == 0:
-                labels[f] = SquarefreeMonomial.one(p.n)
+                labels[f] = SquarefreeMonomial(Subset.empty(p.n), Subset.empty(p.n))
             else:
                 lo = (f & -f).bit_length() - 1
                 hi = f.bit_length() - 1
@@ -211,7 +212,7 @@ def label_acyclic(labeled: LabeledComplex, field=GF2, exhaustive: bool = False) 
         )
     nv = labeled.complex.num_vertices
     for b in degrees:
-        faces = [f for f, lab in nonempty if lab.divides(b)]
+        faces = [f for f, lab in nonempty if divides(lab, b)]
         if not faces:
             continue
         sub = SimplicialComplex.from_faces(nv, faces)
@@ -228,8 +229,8 @@ def reference_json_entries(table: BettiTable) -> list[dict]:
     """``render_json``'s entries through the set pair of each degree, one character at a time."""
     out = []
     for (i, m), v in table.entries.items():
-        if m.has_full_support:
-            a, b = m.set_pair()
+        if (m.support0 | m.support1).bits == (1 << m.n) - 1:
+            a, b = set_pair(m)
             degree = f"m({chars(a)},{chars(b)})"
         else:
             degree = str(m)

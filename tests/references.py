@@ -1,4 +1,5 @@
-"""Direct, slower constructions that the mask-based fast paths must match.
+"""Direct, slower constructions that the mask-based fast paths must match,
+and the algebra that only the tests use.
 
 Each builds its answer the straightforward way: comparability by testing
 every pair of members, covers by testing each comparable pair for an
@@ -9,11 +10,18 @@ loop over lists of sets, the Betti oracle's slices by testing every
 subset of the degree, and a complex's facets by testing every pair of
 masks.  The command line is parsed by argparse, as it
 was before the CLI's verb table.
+
+The rest states the paper's dictionary and identities for the tests:
+closures in a poset, delta(A, B) and the partial-function and monomial
+algebra that m(A, B) mirrors, minimal generators by a divisibility scan,
+the collapse map, the flip action, minors, f-vectors and the simplex.
 """
 
 from __future__ import annotations
 
 import argparse
+from functools import reduce
+from operator import and_
 
 import suboplex.classes
 from suboplex import cli
@@ -30,7 +38,10 @@ from suboplex import (
     ValidationError,
     monomial,
 )
-from suboplex.builders import Matroid
+from suboplex.bitsets import _bits
+from suboplex.builders import CellComplexInput, Matroid
+from suboplex.classes import extentures
+from suboplex.complexes import SimplicialComplex
 from suboplex.homology import _chain_homology, interval_homology, interval_is_cm
 from suboplex.oracles import ORACLE_MAX_VARIABLES
 from suboplex.posets import check_members
@@ -73,6 +84,23 @@ def poset_tables(p: SubsetPoset) -> tuple[list[int], ...]:
     return p._up_strict, p._down_strict, p._covers_up, p._covers_down
 
 
+def cover_relations(p: SubsetPoset) -> list[tuple[Subset, Subset]]:
+    """The cover pairs (e_i, e_j) of ``reference_covers``, by ascending i, then j."""
+    e = p.elements
+    return [(e[i], e[j]) for i, cov in enumerate(reference_tables(p)[2]) for j in _bits(cov)]
+
+
+def intervals(p: SubsetPoset):
+    """``(i, j, rank, graded, mu, chains)`` for every e_i < e_j, by ascending i, then j."""
+    return ((i, *row) for i in range(len(p)) for row in p.intervals_above(i))
+
+
+def closure(p: SubsetPoset, a: Subset) -> Subset | None:
+    """The AND of the members of ``p`` that contain ``a``; None if there are none."""
+    above = [m for m in p._masks if a.bits & m == a.bits]
+    return Subset(p.n, reduce(and_, above)) if above else None
+
+
 def reference_index_map(p: SubsetPoset, k: int, g: tuple[int, ...]) -> tuple[int, ...]:
     """``SubsetPoset._index_map``, mapping each member bit by bit."""
     if not all(isinstance(x, int) for x in g) or sorted(g) != list(range(p.n)):
@@ -110,6 +138,21 @@ def reference_flats(m: Matroid) -> set[int]:
     return collected
 
 
+class MinorMatroid(Matroid):
+    """Restriction to a flat G, then contraction by a flat F inside it: the
+    ground is G minus F in increasing order, and A has rank r(A | F) - r(F)."""
+
+    def __init__(self, base: Matroid, f: Subset, g: Subset) -> None:
+        if not f.issubset(g) or any(base.closure_mask(x.bits) != x.bits for x in (f, g)):
+            raise ValidationError("minor needs nested flats F <= G")
+        self.base, self.f, self.lift = base, f.bits, _bits(g.bits & ~f.bits)
+        super().__init__(len(self.lift))  # refuses G == F
+
+    def _rank_mask(self, mask: int) -> int:
+        lifted = sum(1 << e for i, e in enumerate(self.lift) if mask >> i & 1)
+        return self.base.rank_mask(self.f | lifted) - self.base.rank_mask(self.f)
+
+
 def reference_extentures(c: FunctionClass) -> tuple[PartialFunction, ...]:
     """``extentures`` by Berge's loop over lists, each subset test made alone.
 
@@ -140,6 +183,78 @@ def reference_extentures(c: FunctionClass) -> tuple[PartialFunction, ...]:
         family = hit + grown
     found = sorted((t.bit_count(), t & full, t >> n) for t in family if not t & t >> n)
     return tuple(PartialFunction(Subset(n, ones), Subset(n, zeros)) for _, ones, zeros in found)
+
+
+def delta(a: Subset, b: Subset) -> PartialFunction:
+    """The partial function delta(A, B): 1 on A, 0 off B; requires A <= B."""
+    a._check_mate(b)
+    if not a.issubset(b):
+        raise ValidationError("delta(A, B) requires A to be a subset of B")
+    return PartialFunction(ones=a, zeros=b.complement())
+
+
+def intersect(f: PartialFunction, g: PartialFunction) -> PartialFunction:
+    """The largest partial function that both f and g extend: where they agree."""
+    return PartialFunction(ones=f.ones & g.ones, zeros=f.zeros & g.zeros)
+
+
+def restricts(f: PartialFunction, g: PartialFunction) -> bool:
+    """True iff ``g`` extends ``f`` (agrees on f's domain)."""
+    return f.ones.issubset(g.ones) and f.zeros.issubset(g.zeros)
+
+
+def divides(m: SquarefreeMonomial, other: SquarefreeMonomial) -> bool:
+    m.support0._check_mate(other.support0)
+    return m.support0.issubset(other.support0) and m.support1.issubset(other.support1)
+
+
+def lcm(m: SquarefreeMonomial, other: SquarefreeMonomial) -> SquarefreeMonomial:
+    return SquarefreeMonomial(m.support0 | other.support0, m.support1 | other.support1)
+
+
+def set_pair(m: SquarefreeMonomial) -> tuple[Subset, Subset]:
+    """The A <= B with m == m(A, B), A = [n] minus support1 and B = support0,
+    for a monomial whose two supports cover [n]."""
+    if (m.support0 | m.support1).bits != (1 << m.n) - 1:
+        raise ValidationError("monomial lacks full support union; it is not of the form m(A, B)")
+    return m.support1.complement(), m.support0
+
+
+def minimal_generators(n: int, gens) -> IdealGenerators:
+    """The distinct generators that no other divides, by (degree, support0, support1)."""
+    pool = list(dict.fromkeys(gens))
+    keep = [g for g in pool if not any(h is not g and divides(h, g) for h in pool)]
+    keep.sort(key=lambda m: (m.degree, m.support0.bits, m.support1.bits))
+    return IdealGenerators(n, tuple(keep))
+
+
+def collapse_membership(c: FunctionClass, u: Subset) -> bool:
+    """Whether prod_{i in U} y_i lies in the ideal with each x(i,b) collapsed to y_i.
+
+    Functional monomials collapse to squares, which divide no squarefree
+    monomial, so: does some extenture have its domain inside U?
+    """
+    return any(f.domain.issubset(u) for f in extentures(c))
+
+
+def flip_class(c: FunctionClass, mask: Subset) -> FunctionClass:
+    """XOR every member's 1-preimage with ``mask`` (the output-flip action)."""
+    return FunctionClass(c.n, [m ^ mask for m in c.members])
+
+
+def f_vector(k: SimplicialComplex) -> dict[int, int]:
+    """Face counts by dimension, the empty face in dimension -1."""
+    return {d: len(faces) for d, faces in k.faces_by_dim().items()}
+
+
+def reduced_euler_characteristic(k: SimplicialComplex) -> int:
+    """Alternating face-count sum over dimensions >= -1; 0 for the null complex."""
+    return sum(-count if d % 2 else count for d, count in f_vector(k).items())
+
+
+def simplex_input(num_vertices: int) -> CellComplexInput:
+    """A solid simplex with all its faces listed explicitly."""
+    return CellComplexInput(num_vertices, tuple(range(1, 1 << num_vertices)))
 
 
 def reference_membership(variables: int, gmasks: list[int]) -> bytearray:

@@ -25,7 +25,7 @@ from conftest import (
 )
 from suboplex import SubsetPoset, betti_via_intervals
 from suboplex.cli import VERBS, main, parse_args
-from suboplex.io import poset_to_json
+from suboplex.io import COMPLEX_MAX_MASK_BITS, poset_to_json
 from references import build_parser
 
 FLAG_POSET = {
@@ -360,6 +360,37 @@ class TestMatroidSizes:
             outputs.append(out.stdout)
         assert outputs[0] == outputs[1] == outputs[2]
         assert json.loads(outputs[0])["elements"] == ["0", "1"]
+
+
+class TestInputSizes:
+    """Inputs whose masks or ground would not fit in memory are refused first."""
+
+    def test_wide_complex_facets_and_a_huge_csp_exit_at_once_within_a_gib(self):
+        cap, near = COMPLEX_MAX_MASK_BITS, range(2_000_000_000, 2_000_000_006)
+        for facets, width in (([[7_999_999_999]], 8_000_000_000), ([[cap]], cap + 1),
+                              ([[v] for v in near], 12_000_000_021)):
+            spec = "complex:" + json.dumps({"vertices": 8_000_000_000, "facets": facets})
+            out = run_child_within_a_gib("build", "--as", "complex", "--build", spec)
+            assert (out.returncode, out.stdout, out.stderr) == (2, "", (
+                f"error: complex input is capped at {cap} facet mask bits "
+                f"(largest vertex + 1, summed over the facets), got {width}\n"))
+        spec = 'formula:{"type":"csp","d":100000000000,"generators":["01"]}'
+        out = run_child_within_a_gib("build", "--build", spec)
+        assert (out.returncode, out.stdout, out.stderr) == (
+            1, "", "error: csp spec needs 2^d <= 64 ground points, got d = 100000000000\n")
+
+    def test_complex_at_the_mask_cap_builds_within_a_gib(self):
+        half = COMPLEX_MAX_MASK_BITS // 2
+        doc = json.dumps({"vertices": 2 * half, "facets": [[half - 2], [0, half]]})  # sum: the cap
+        out = run_child_within_a_gib("build", "--as", "complex", "--build", "complex:" + doc)
+        assert (out.returncode, out.stdout, out.stderr) == (0, doc + "\n", "")
+
+    def test_csp_ground_past_64_points(self, capsys):
+        d7, d6 = ({"type": "csp", "d": d, "generators": ["1" * 2**d]} for d in (7, 6))
+        assert run(capsys, "build", "--build", "formula:" + json.dumps(d7)) == (
+            1, "", "error: csp spec needs 2^d <= 64 ground points, got d = 7")
+        assert run(capsys, "build", "--build", "formula:" + json.dumps(d6)) == (  # builder's cap
+            2, "", "error: formula builder is capped at d <= 4 (ground 2^d), got d=6")
 
 
 class TestOtherVerbs:

@@ -2,7 +2,8 @@ import pytest
 
 from bundled import U11_U23_BETTI_TEXT, bundled_posets, delta_class, u11_u23_class
 from conftest import random_class, refuse_everywhere
-from references import reference_betti_oracle, reference_koszul_slice, reference_membership
+from references import minimal_generators, reference_betti_oracle, reference_koszul_slice
+from references import reference_membership
 from suboplex import (
     GF2,
     GF3,
@@ -47,9 +48,7 @@ class TestBettiOracle:
 
     def test_two_overlapping_generators(self):
         # x(0,0)x(0,1) and x(0,1)x(1,0): one first syzygy at the lcm
-        gens = IdealGenerators.minimal(
-            2, [mono(2, "10", "10"), mono(2, "01", "10")]
-        )
+        gens = minimal_generators(2, [mono(2, "10", "10"), mono(2, "01", "10")])
         table = betti_oracle(gens)
         assert table.total(0) == 2
         assert table.get(1, mono(2, "11", "10")) == 1

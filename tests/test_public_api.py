@@ -36,13 +36,9 @@ SUBOPLEX_EXPORTS = [
     "betti_via_intervals",
     "betti_via_mobius",
     "class_from_poset",
-    "collapse_membership",
-    "delta",
     "dual_ideal",
     "extentures",
-    "flip_class",
     "homological_dimension",
-    "intersect",
     "intersection_closure",
     "interval_homology",
     "is_cohen_macaulay",
@@ -50,7 +46,6 @@ SUBOPLEX_EXPORTS = [
     "is_shattered",
     "monomial",
     "order_complex",
-    "reduced_euler_characteristic",
     "reduced_homology",
     "regularity_oracle",
     "shatter_complex",
@@ -68,13 +63,11 @@ BUILDERS_EXPORTS = [
     "GraphicMatroid",
     "LinearMatroid",
     "Matroid",
-    "MinorMatroid",
     "UniformMatroid",
     "cube_complex",
     "cube_faces",
     "face_poset",
     "formula_class",
-    "simplex_input",
 ]
 
 
@@ -274,7 +267,7 @@ def test_kcnf_vcdim_compiles_ten_modules(tmp_path):
 # Names that moved to the module whose code uses them: each still resolves
 # from ``suboplex`` to the object its new module defines.
 MOVED = {
-    "suboplex.classes": ["PartialFunction", "SquarefreeMonomial", "delta", "intersect", "monomial"],
+    "suboplex.classes": ["PartialFunction", "SquarefreeMonomial", "monomial"],
     "suboplex.homology": ["interval_homology", "is_interval_cm"],
 }
 
@@ -309,7 +302,6 @@ IMPORT_GRAPH = [
     "builders.formulas -> builders.cells",
     "builders.formulas -> errors",
     "builders.formulas -> posets",
-    "builders.matroids -> bitsets",
     "builders.matroids -> errors",
     "builders.matroids -> posets",
     "classes -> bitsets",
@@ -407,3 +399,118 @@ def test_no_module_imports_fractions():
             else:
                 continue
             assert not {n.split(".")[0] for n in names} & {"fractions", "decimal"}, path
+
+
+# Every verb, input kind and ``check`` flag, ``--field`` 3 and Q, help, a usage
+# error, a validation error and a size cap: an exit code, then a command line
+# split at spaces.  ``poset.json`` and ``class.json`` lie where the child runs.
+REACH_CALLS = """
+0 vcdim --build formula:{"type":"kcnf","d":2,"k":1}
+0 vcdim --input poset.json
+0 hdim --build cube:{"d":2}
+0 hdim --field Q --input class.json
+0 betti --build matroid:{"type":"direct_sum","parts":[{"type":"uniform","k":1,"m":1}]}
+0 betti --format json --field Q --input poset.json
+0 betti --method mobius --field 3 --build matroid:{"type":"uniform","k":2,"m":3}
+0 betti --input class.json
+0 mobius --all --build matroid:{"type":"linear","p":2,"matrix":[[1,0,1]]}
+0 mobius --build matroid:{"type":"graphic","vertices":3,"edges":[[0,1]]}
+0 extentures --build class:{"n":2,"functions":["10","01"]}
+0 shatter --set 0,1 --input class.json
+0 shatter --build formula:{"type":"parity_conj","d":2}
+0 check --intersection-closed --acyclic --build cells:{"vertices":1,"faces":[[0]]}
+0 check --interval-cm --build formula:{"type":"csp","d":1,"generators":["01"]}
+0 check --interval-cm --cm --build poset:{"n":3,"elements":["000","110","101"]}
+0 check --cm --build formula:{"type":"poly_conj","d":2,"k":1}
+0 check --cm --build complex:{"vertices":3,"facets":[[0,1],[1,2]]}
+0 build --as class --build formula:{"type":"kcnf","d":1,"k":1,"monotone":true}
+0 build --build poset:{"n":2,"elements":["00","11"]}
+0 build --as poset --input class.json
+0 build --as complex --build complex:{"vertices":2,"facets":[[0],[1]]}
+0 oracle betti --build class:{"n":2,"functions":["00","11"]}
+0 oracle reg --input class.json
+0 oracle vcdim --input class.json
+0 --help
+0 betti --help
+1 frobnicate
+1 mobius --build poset:{"n":2,"elements":["10","01"]}
+2 betti --build cube:{"d":9}
+"""
+
+# A child that records every Python call's code (file, first line) while it
+# imports the package and runs the command lines of its argument in-process.
+REACH = """
+import contextlib, io, json, sys
+entered = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(
+    (frame.f_code.co_filename, frame.f_code.co_firstlineno)))
+import suboplex.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(suboplex.cli.main(argv))
+sys.setprofile(None)
+print(json.dumps([codes, sorted(entered)]))
+"""
+
+# The functions of ``src``, dunders aside, that no call of REACH_CALLS enters.
+# ``src`` keeps what the CLI and the README reach, so each is kept for the
+# reason above its line, and a name that a change makes reachable leaves.
+NEVER_ENTERED = """
+# perfbench/tracer.py patches these, or what it patches needs them; they
+# can go once the benchmark drops their spans
+builders.formulas:formula_class complexes:order_complex complexes:reduced_homology
+complexes:truncated_order_complex complexes:HomologyProfile.degrees
+complexes:HomologyProfile.is_zero complexes:HomologyProfile.render
+complexes:SimplicialComplex.empty complexes:SimplicialComplex.faces_by_dim
+complexes:SimplicialComplex.link complexes:SimplicialComplex.null
+posets:Interval.open_members posets:SubsetPoset.interval posets:SubsetPoset.rank
+posets:SubsetPoset.restrict
+# perfbench/test_perfbench.py calls it
+classes:FunctionClass.from_masks
+# the README's m(A, B) and Betti-table reads
+classes:monomial betti:BettiTable.entries betti:BettiTable.from_entries betti:BettiTable.get
+betti:BettiTable.total betti:BettiTable.totals
+# the rank functions that define a matroid, which the rank tests and
+# ``reference_flats`` read; flats take closures
+builders.matroids:LinearMatroid._rank_mask builders.matroids:Matroid._rank_mask
+# constructors, properties and Subset operators
+bitsets:Subset.empty bitsets:Subset.indices bitsets:Subset.isdisjoint bitsets:Subset.issubset
+classes:FunctionClass.from_strings classes:FunctionClass.full_class
+complexes:SimplicialComplex.is_empty_complex posets:SubsetPoset.from_strings
+posets:SubsetPoset.index
+# the process entry, which ends the process by os._exit
+cli:run
+"""
+
+
+def function_names() -> dict[tuple[str, int], str]:
+    """``module:qualname`` of each function in ``src``, by (file, ``co_firstlineno``)."""
+    names = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+
+        def walk(body: list[ast.stmt], prefix: str) -> None:
+            for node in body:
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    if isinstance(node, ast.FunctionDef):  # a decorator's line comes first
+                        first = min([d.lineno for d in node.decorator_list] + [node.lineno])
+                        names[(str(path), first)] = f"{module}:{prefix}{node.name}"
+                    walk(node.body, f"{prefix}{node.name}.")
+
+        walk(ast.parse(path.read_text(encoding="utf-8")).body, "")
+    return names
+
+
+def test_src_keeps_what_the_cli_reaches(tmp_path):
+    (tmp_path / "poset.json").write_text('{"n":3,"elements":["000","100","010","110","111"]}')
+    (tmp_path / "class.json").write_text('{"n":3,"functions":["100","010","011"]}')
+    calls = [line.split() for line in REACH_CALLS.strip().splitlines()]
+    argvs = json.dumps([argv for _, *argv in calls])
+    codes, entered = json.loads(child("-c", REACH, argvs, cwd=tmp_path))
+    assert codes == [int(code) for code, *_ in calls]
+    entered = {(str(Path(f).resolve()), line) for f, line in entered}
+    never = {name for key, name in function_names().items()
+             if key not in entered and not name.endswith("__")}
+    kept = {name for line in NEVER_ENTERED.splitlines() if line[:1] != "#" for name in line.split()}
+    assert never == kept, (sorted(never - kept), sorted(kept - never))

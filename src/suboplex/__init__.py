@@ -12,9 +12,10 @@ Importing the package compiles and runs none of its modules but
 ``importlib.util.LazyLoader``, and runs on the first read of one of its
 attributes; the public names below are served from their modules by a
 module ``__getattr__`` (PEP 562).  So a CLI call compiles only the
-modules its verb reaches: of the 16, a formula ``mobius`` or ``build``
-call compiles 9 and a formula ``vcdim`` 10, and a ``betti`` or ``hdim``
-on a closed input compiles neither ``classes`` nor ``complexes``.  A
+modules its verb reaches: of the 17, a formula ``mobius`` or ``build``
+call compiles 9 and a formula ``vcdim`` 10 (``shattering``, not
+``classes``), and a ``vcdim``, ``betti`` or ``hdim`` on a closed input
+compiles neither ``classes`` nor ``complexes``.  A
 tool that reads a module's attributes (the benchmark's tracer, ``vars``
 of each loaded module) runs it first.  On Python 3.11 ``LazyLoader``
 takes no lock, so a threaded program should read the names it uses
@@ -56,7 +57,7 @@ __all__, __getattr__, __dir__ = _lazy_package(globals(), {
     "classes": (
         "FunctionClass", "IdealGenerators", "PartialFunction", "SquarefreeMonomial",
         "class_from_poset", "dual_ideal", "extentures", "is_shattered", "monomial",
-        "shatter_complex", "suboplex_ideal", "vc_dimension", "warn_if_degenerate",
+        "shatter_complex", "suboplex_ideal", "warn_if_degenerate",
     ),
     "complexes": (
         "HomologyProfile", "SimplicialComplex", "is_cohen_macaulay", "order_complex",
@@ -68,6 +69,7 @@ __all__, __getattr__, __dir__ = _lazy_package(globals(), {
     "linalg": ("GF2", "GF3", "QQ", "FieldSpec"),
     "oracles": ("betti_oracle", "regularity_oracle", "vc_oracle"),
     "posets": ("Interval", "SubsetPoset", "intersection_closure"),
+    "shattering": ("vc_dimension",),
 })
 
 from . import builders  # noqa: E402  (registers its own submodules the same way)

@@ -16,15 +16,35 @@ from typing import Iterable, Iterator, Sequence
 from .errors import ValidationError
 
 MAX_GROUND = 64
+_NONZERO = bytes([0] + [1] * 255)  # a translate table: each nonzero byte to 1
 
 
 def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of ``mask``, ascending."""
+    """Positions of the set bits of ``mask``, ascending.
+
+    Each step of the loop copies the mask, the quickest way while it is at
+    most 256 bits wide or has at most 32 set bits.  Past both (a family's
+    index mask, a wide facet) that costs popcount x width, so the mask
+    becomes bytes once and each nonzero byte is found by ``bytes.find`` on
+    a 0/1 copy of them: linear in width and popcount.
+    """
     out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
+    if mask.bit_length() <= 256 or mask.bit_count() <= 32:
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out.append(low.bit_length() - 1)
+        return out
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    flags = data.translate(_NONZERO)
+    i = flags.find(1)
+    while i >= 0:
+        byte = data[i]
+        while byte:
+            low = byte & -byte
+            out.append(8 * i + low.bit_length() - 1)
+            byte ^= low
+        i = flags.find(1, i + 1)
     return out
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
-from ..bitsets import Value
+from ..bitsets import MAX_GROUND, Value
 from ..errors import CapExceededError, ValidationError
 from ..posets import SubsetPoset, intersection_closure
 from .cells import cube_symmetry
@@ -31,6 +31,13 @@ if TYPE_CHECKING:
 KCNF_MAX_VARIABLES = 4
 
 VARIANTS = ("kcnf", "monotone_kcnf", "csp", "parity_conj", "poly_conj")
+
+
+def csp_ground(d: int) -> int:
+    """2^d, the ground size of a csp spec, refused past ``MAX_GROUND`` before the shift."""
+    if d >= MAX_GROUND.bit_length():  # 2^d > MAX_GROUND, tested without the shift
+        raise ValidationError(f"csp spec needs 2^d <= {MAX_GROUND} ground points, got d = {d}")
+    return 1 << d
 
 
 class FormulaClassSpec(Value):
@@ -59,7 +66,7 @@ class FormulaClassSpec(Value):
         if variant == "csp":
             if generators is None:
                 raise ValidationError("csp spec needs a generator set")
-            n = 1 << d
+            n = csp_ground(d)
             for g in generators:
                 if not 0 <= g < (1 << n):
                     raise ValidationError(f"csp generator 0x{g:x} is not a function on [2]^{d}")

@@ -1,11 +1,12 @@
 """Function classes: sets of total Boolean functions on [n].
 
 A class is stored as the set of 1-preimages of its members.  This
-module computes shattering and VC dimension (by one scan of the
-members per candidate set), extentures (minimal non-extendable partial
-functions, as the minimal transversals of the literals each member
-violates), and the generators of the associated squarefree ideal and
-of its dual.
+module tests shattering (by one scan of the members), lists the
+shattered sets (``shattering.shattered_levels``, which also gives
+``vc_dimension``, for a poset or a class), and computes extentures
+(minimal non-extendable partial functions, as the minimal transversals
+of the literals each member violates) and the generators of the
+associated squarefree ideal and of its dual.
 
 A ``PartialFunction`` is a disjoint pair (ones, zeros) of subsets.  A
 ``SquarefreeMonomial`` lives in the 2n variables x(i,0), x(i,1) and is
@@ -32,7 +33,6 @@ from .posets import SubsetPoset, and_closed
 
 EXTENTURE_MAX_WORK = 500_000_000
 EXTENTURE_MAX_FAMILY = 1_000_000
-VC_MAX_WORK = 100_000_000
 
 
 class PartialFunction(Value):
@@ -248,92 +248,33 @@ def class_from_poset(p: SubsetPoset) -> FunctionClass:
     return c
 
 
-def _is_shattered_brute(c: FunctionClass, u: int) -> bool:
-    want = 1 << u.bit_count()
-    seen: set[int] = set()
-    for m in c._masks:
-        seen.add(m & u)
-        if len(seen) == want:
-            return True
-    return len(seen) == want
+def __getattr__(name: str):
+    """``vc_dimension`` under its old name (the benchmark's tracer patches it by
+    this one), read from ``shattering`` only when asked for, so the verbs that
+    need a class and no VC search do not compile it."""
+    if name == "vc_dimension":
+        from .shattering import vc_dimension
+
+        return vc_dimension
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def is_shattered(c: FunctionClass, u: Subset) -> bool:
-    """Is every Boolean function on ``u`` a restriction of a class member?"""
+def is_shattered(c: FunctionClass | SubsetPoset, u: Subset) -> bool:
+    """Is every Boolean function on ``u`` a restriction of a member of ``c``?"""
+    from .shattering import _is_shattered, _members
+
     if not isinstance(u, Subset) or u.n != c.n:
         raise ValidationError(f"{u!r} does not live on ground size {c.n}")
-    return _is_shattered_brute(c, u.bits)
+    return _is_shattered(_members(c), u.bits)
 
 
-def _shattered_levels(c: FunctionClass) -> list[list[int]]:
-    """The shattered subsets of [n] as masks, level by level from the empty set.
-
-    A set can be shattered only if all its one-element-smaller subsets
-    are, so each level's candidates grow from the level below.  The work
-    is counted per level as candidate generation (|level| * n subset
-    tests) plus member scans (candidates * members); ``CapExceededError``
-    is raised before either would take the total past ``VC_MAX_WORK``.
-    """
-    n, members = c.n, len(c._masks)
-    levels = [[0]]  # the empty set is shattered by any nonempty class
-    work = 0
-    while True:
-        work += len(levels[-1]) * n
-        if work > VC_MAX_WORK:
-            raise CapExceededError(f"VC search is capped at {VC_MAX_WORK} steps")
-        prev = set(levels[-1])
-        candidates: set[int] = set()
-        for s in levels[-1]:
-            for v in range(n):
-                bit = 1 << v
-                if s & bit:
-                    continue
-                t = s | bit
-                if t in candidates:
-                    continue
-                rest = t
-                while rest:  # each one-smaller subset t - {w}, over the set bits w of t
-                    low = rest & -rest
-                    if t ^ low not in prev:
-                        break
-                    rest ^= low
-                else:
-                    candidates.add(t)
-        work += len(candidates) * members
-        if work > VC_MAX_WORK:
-            raise CapExceededError(f"VC search is capped at {VC_MAX_WORK} steps")
-        nxt = sorted(u for u in candidates if _is_shattered_brute(c, u))
-        if not nxt:
-            return levels
-        levels.append(nxt)
-
-
-def vc_dimension(c: FunctionClass) -> int:
-    """Size of the largest shattered subset."""
-    return len(_shattered_levels(c)) - 1
-
-
-def shatter_complex(c: FunctionClass):
-    """The simplicial complex of all shattered subsets of [n]."""
+def shatter_complex(c: FunctionClass | SubsetPoset):
+    """The simplicial complex of all subsets of [n] that ``c`` shatters."""
     from .complexes import SimplicialComplex
+    from .shattering import shattered_levels
 
-    faces = [u for level in _shattered_levels(c) for u in level]
+    faces = [u for level in shattered_levels(c) for u in level]
     return SimplicialComplex.from_faces(c.n, faces)
-
-
-def _positions(mask: int) -> list[int]:
-    """The set bits of ``mask``, ascending, in time linear in its width.
-
-    ``_bits`` takes a big-int step per set bit, so it is quadratic on a
-    mask over a whole family.
-    """
-    digits = format(mask, "b")[::-1]
-    out = []
-    i = digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
-    return out
 
 
 def _blocked_literals(holds: list[int], hit: int, edge: int, miss: list[int]) -> list[int]:
@@ -413,7 +354,7 @@ def extentures(c: FunctionClass) -> tuple[PartialFunction, ...]:
         for v in lits:
             hit |= holds[v]
         hit &= alive
-        miss = [sets[p] for p in _positions(alive ^ hit)]
+        miss = [sets[p] for p in _bits(alive ^ hit)]
         nhit, nmiss = hit.bit_count(), len(miss)
         work += size
         grown: list[int] = []
@@ -439,10 +380,10 @@ def extentures(c: FunctionClass) -> tuple[PartialFunction, ...]:
             alive |= ((1 << len(grown)) - 1) << top
             sets += grown
         if len(sets) > 2 * size:  # more dropped sets than live ones: renumber
-            sets = [sets[p] for p in _positions(alive)]
+            sets = [sets[p] for p in _bits(alive)]
             holds = _columns(sets, 2 * n)
             alive = (1 << size) - 1
-    family = [sets[p] for p in _positions(alive)]
+    family = [sets[p] for p in _bits(alive)]
     del sets, holds  # freed before the output is built, which sets the peak
     found = sorted((t.bit_count(), t & full, t >> n) for t in family if not t & t >> n)
     c._extentures = tuple(

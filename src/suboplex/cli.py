@@ -46,7 +46,7 @@ import sys
 from types import ModuleType, SimpleNamespace
 from typing import TYPE_CHECKING, Any, Container, NoReturn
 
-from . import betti, builders, classes, complexes, homology, linalg, oracles, posets
+from . import betti, builders, classes, complexes, homology, linalg, oracles, posets, shattering
 from . import io as sio
 from .bitsets import Subset, _bits, is_int
 from .errors import CapExceededError, ValidationError
@@ -155,7 +155,8 @@ def _render_betti(table: betti.BettiTable, fmt: str) -> str:
 
 
 def _as_source(loaded: _Input) -> posets.SubsetPoset | classes.FunctionClass:
-    """A poset as it is, any other input as a class: what ``hdim`` and ``betti`` take."""
+    """A poset as it is, any other input as a class: what ``vcdim``, ``shatter``,
+    ``hdim`` and ``betti`` take."""
     return loaded if isinstance(loaded, posets.SubsetPoset) else _as_class(loaded)
 
 
@@ -179,7 +180,7 @@ def _parse_index_set(text: str, n: int) -> Subset:
 
 
 def _cmd_vcdim(args) -> int:
-    print(classes.vc_dimension(_as_class(_load_input(args))))
+    print(shattering.vc_dimension(_as_source(_load_input(args))))
     return 0
 
 
@@ -199,8 +200,9 @@ def _cmd_mobius(args) -> int:
     poset = _as_poset(_load_input(args))
     if args.all:
         names = [str(e) for e in poset.elements]
-        for i, a in enumerate(names):
-            rows = "".join(f"{a} {names[j]} {mu}\n" for j, _, _, mu, _ in poset.intervals_above(i))
+        for i, row in poset.mobius_rows():
+            a = names[i]
+            rows = "".join([f"{a} {names[j]} {mu}\n" for j, mu in row])
             sys.stdout.write(f"{a} {a} 1\n{rows}")
         return 0
     bottom, top = poset.bottom(), poset.top()
@@ -217,12 +219,12 @@ def _cmd_extentures(args) -> int:
 
 
 def _cmd_shatter(args) -> int:
-    cls = _as_class(_load_input(args))
+    source = _as_source(_load_input(args))
     if args.set is not None:
-        u = _parse_index_set(args.set, cls.n)
-        print("yes" if classes.is_shattered(cls, u) else "no")
+        u = _parse_index_set(args.set, source.n)
+        print("yes" if classes.is_shattered(source, u) else "no")
         return 0
-    complex_ = classes.shatter_complex(cls)
+    complex_ = classes.shatter_complex(source)
     facets = sorted(_bits(f) for f in complex_.facets)
     print(json.dumps({"vc_dimension": complex_.dim + 1, "facets": facets}))
     return 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from .bitsets import MAX_GROUND, Subset, _bits, is_int
+from .bitsets import Subset, _bits, is_int
 from .errors import CapExceededError, ValidationError
 from .posets import SubsetPoset
 
@@ -107,7 +107,15 @@ def complex_from_json(data: Any) -> SimplicialComplex:
             f"complex input is capped at {COMPLEX_MAX_MASK_BITS} facet mask bits "
             f"(largest vertex + 1, summed over the facets), got {width}"
         )
-    return SimplicialComplex.from_facets(nv, [sum(1 << v for v in set(face)) for face in facets])
+    return SimplicialComplex.from_facets(nv, [_mask(face) for face in facets])
+
+
+def _mask(face: list[int]) -> int:
+    """The mask of a vertex list, in time linear in its width and length."""
+    data = bytearray(max(face, default=-1) // 8 + 1)
+    for v in face:
+        data[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(data, "little")
 
 
 def complex_to_json(k: SimplicialComplex) -> dict:
@@ -158,7 +166,7 @@ def cells_from_json(data: Any) -> CellComplexInput:
 
 
 def formula_from_json(data: Any) -> FormulaClassSpec:
-    from .builders.formulas import FormulaClassSpec
+    from .builders.formulas import FormulaClassSpec, csp_ground
 
     kind = _require(data, "type", "formula spec")
     d = _require(data, "d", "formula spec", int)
@@ -171,10 +179,9 @@ def formula_from_json(data: Any) -> FormulaClassSpec:
     if kind == "csp":
         if d < 1:
             raise ValidationError(f"csp spec needs a positive integer d, got {d!r}")
-        if d >= MAX_GROUND.bit_length():  # 2^d > MAX_GROUND, tested without the shift
-            raise ValidationError(f"csp spec needs 2^d <= {MAX_GROUND} ground points, got d = {d}")
+        n = csp_ground(d)
         raw = _require(data, "generators", "csp spec")
-        gens = tuple(s.bits for s in _bit_strings(raw, 1 << d, "csp generators"))
+        gens = tuple(s.bits for s in _bit_strings(raw, n, "csp generators"))
         return FormulaClassSpec("csp", d, generators=gens)
     if kind == "parity_conj":
         return FormulaClassSpec("parity_conj", d)

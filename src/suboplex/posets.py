@@ -16,9 +16,10 @@ every interval [A, B] onto an isomorphic interval [gA, gB] (Stanley,
 "Some aspects of groups acting on finite posets", JCTA 1982).  Every
 interval invariant is constant on the orbits of intervals, so the
 sweeps read ``interval_orbits``: one pass from one bottom per element
-orbit, each interval standing for its orbit.  Equality, hashing and
-restrictions ignore the symmetry; ``intervals_above`` from every bottom
-lists every pair.
+orbit, each interval standing for its orbit, and ``mobius_rows`` maps
+each representative's row onto the rest of its orbit.  Equality, hashing
+and restrictions ignore the symmetry; ``intervals_above`` from every
+bottom lists every pair.
 """
 
 from __future__ import annotations
@@ -316,14 +317,55 @@ class SubsetPoset:
                     pairs.append((g[a], g[b]))
         return pairs
 
+    def _orbit_forest(self) -> list:
+        """A Schreier forest of the elements under the generators.
+
+        One breadth-first search per orbit, from its least index, its
+        representative.  Entry i is ``(parent, k)`` when generator k maps
+        ``parent``, found before i, onto i; a representative's entry is the
+        greatest index of its orbit, an int.
+        """
+        gens, forest = self._automorphisms, [None] * len(self._masks)
+        for r, link in enumerate(forest):
+            if link is None:
+                forest[r] = orbit = [r]
+                for a in orbit:  # the list grows while it is read
+                    for k, g in enumerate(gens):
+                        if forest[g[a]] is None:
+                            forest[g[a]] = (a, k)
+                            orbit.append(g[a])
+                forest[r] = max(orbit)
+        return forest
+
     def orbit_representatives(self) -> list[int]:
         """The least element index of each orbit of the symmetry group, ascending."""
-        reps, seen = [], set()
-        for i in range(len(self._masks)):
-            if i * len(self._masks) + i not in seen:
-                self._orbit(seen, i, i)
-                reps.append(i)
-        return reps
+        return [i for i, link in enumerate(self._orbit_forest()) if link.__class__ is int]
+
+    def mobius_rows(self) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+        """``(i, [(j, mu(e_i, e_j)) for every e_j > e_i, by ascending j])``, i ascending.
+
+        Only representatives run ``intervals_above``.  Any other element
+        maps its representative's row through the generators on its forest
+        path, which keep mu, and sorts it; a representative's row is kept
+        until the last element of its orbit.
+        """
+        forest, kept = self._orbit_forest(), {}
+        for i, link in enumerate(forest):
+            r, word = i, []
+            while link.__class__ is not int:
+                r, k = link
+                word.append(self._automorphisms[k].__getitem__)
+                link = forest[r]
+            if r == i:
+                row = [(j, mu) for j, _, _, mu, _ in self.intervals_above(i)]
+                if link > i:
+                    kept[i] = [j for j, _ in row], [mu for _, mu in row]
+            else:
+                js, mus = kept[r] if link > i else kept.pop(r)
+                for g in reversed(word):
+                    js = map(g, js)
+                row = sorted(zip(js, mus))
+            yield i, row
 
     def interval_orbits(
         self,

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import suboplex.cli
 from references import divides, set_pair
 from suboplex import (
     GF2,
@@ -22,6 +23,7 @@ from suboplex import (
 )
 from suboplex.bitsets import Value
 from suboplex.complexes import _bits
+from suboplex.shattering import shattered_levels
 
 
 def pytest_addoption(parser):
@@ -64,6 +66,34 @@ def random_intersection_closed_poset(rng: random.Random, max_n: int = 5) -> Subs
     n = rng.randint(1, max_n)
     masks = {rng.getrandbits(n) for _ in range(rng.randint(1, 6))}
     return SubsetPoset.from_masks(n, intersection_closure(masks))
+
+
+def random_symmetric_poset(rng: random.Random, max_n: int = 6) -> SubsetPoset:
+    """Random masks closed under one to three random permutations of [n], declared
+    as the poset's symmetry."""
+    n = rng.randint(1, max_n)
+    gens = [rng.sample(range(n), n) for _ in range(rng.randint(1, 3))]
+    family, todo = set(), [rng.getrandbits(n) for _ in range(rng.randint(1, 5))]
+    while todo:
+        m = todo.pop()
+        if m not in family:
+            family.add(m)
+            todo += [sum(1 << g[v] for v in range(n) if m >> v & 1) for g in gens]
+    return SubsetPoset.from_masks(n, family, gens)
+
+
+def scanned_levels(p) -> list[list[int]]:
+    """``shattered_levels`` by the member scan, which a family not closed takes."""
+    c = FunctionClass.from_masks(p.n, p._masks)
+    c._intersection_closed = False
+    return shattered_levels(c)
+
+
+def mobius_all_text(monkeypatch, capsys, p: SubsetPoset) -> str:
+    """What ``mobius --all`` prints for ``p``, its symmetry kept."""
+    monkeypatch.setattr(suboplex.cli, "_load_input", lambda args: p)
+    assert suboplex.cli.main(["mobius", "--all", "--build", "poset"]) == 0
+    return capsys.readouterr().out
 
 
 def interval_chains(p: SubsetPoset, i: int, j: int) -> int:

@@ -3,7 +3,9 @@ and the algebra that only the tests use.
 
 Each builds its answer the straightforward way: comparability by testing
 every pair of members, covers by testing each comparable pair for an
-element in between, symmetry generators by mapping each member bit by bit, flats by closing every flat plus one element through
+element in between, symmetry generators by mapping each member bit by bit, element orbits
+by the pair orbits of the diagonal, the ``mobius --all`` text by one
+pass from every bottom, flats by closing every flat plus one element through
 rank calls, Betti tables keyed by ``SquarefreeMonomial`` with the
 text and JSON renderings read from those keys, extentures by Berge's
 loop over lists of sets, the Betti oracle's slices by testing every
@@ -93,6 +95,25 @@ def cover_relations(p: SubsetPoset) -> list[tuple[Subset, Subset]]:
 def intervals(p: SubsetPoset):
     """``(i, j, rank, graded, mu, chains)`` for every e_i < e_j, by ascending i, then j."""
     return ((i, *row) for i in range(len(p)) for row in p.intervals_above(i))
+
+
+def reference_mobius_all(p: SubsetPoset) -> str:
+    """The text of ``mobius --all``, by one ``intervals_above`` pass from every bottom."""
+    names = [str(e) for e in p.elements]
+    return "".join(
+        f"{a} {a} 1\n" + "".join(f"{a} {names[j]} {mu}\n" for j, _, _, mu, _ in p.intervals_above(i))
+        for i, a in enumerate(names)
+    )
+
+
+def reference_orbit_representatives(p: SubsetPoset) -> list[int]:
+    """The least index of each element orbit, from the pair orbits of the diagonal."""
+    reps, seen = [], set()
+    for i in range(len(p)):
+        if i * len(p) + i not in seen:
+            p._orbit(seen, i, i)
+            reps.append(i)
+    return reps
 
 
 def closure(p: SubsetPoset, a: Subset) -> Subset | None:

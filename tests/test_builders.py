@@ -411,6 +411,9 @@ class TestFormulaClasses:
             FormulaClassSpec("csp", 2)
         with pytest.raises(ValidationError, match=r"csp generator 0x10 is not a function on \[2\]\^2"):
             FormulaClassSpec("csp", 2, generators=(16,))
+        with pytest.raises(ValidationError, match=r"^csp spec needs 2\^d <= 64 ground points, got d = 7$"):
+            FormulaClassSpec("csp", 7, generators=())
+        assert FormulaClassSpec("csp", 6, generators=()).d == 6
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -1,8 +1,10 @@
 import pytest
 
 import suboplex.classes
+import suboplex.posets
+import suboplex.shattering
 from bundled import delta_class, u11_u23_class
-from conftest import assert_value_type, random_class, random_intersection_closed_poset
+from conftest import assert_value_type, random_class, random_intersection_closed_poset, scanned_levels
 from suboplex import (
     CapExceededError,
     FunctionClass,
@@ -23,6 +25,7 @@ from suboplex import (
 )
 from suboplex.builders import FormulaClassSpec, formula_class
 from suboplex.oracles import betti_oracle, vc_oracle
+from suboplex.shattering import shattered_levels
 from references import closure, collapse_membership, divides, flip_class, minimal_generators
 from references import reference_extentures
 
@@ -245,17 +248,53 @@ class TestVcDimension:
             assert vc_dimension(c) == vc_oracle(c)
 
     def test_work_cap(self, monkeypatch):
-        # full_class(3), level by level, generation + scans: 3 + 24, 9 + 24, 9 + 8, 3 + 0
+        # The full family on 3 points, level by level, generation + tests.  Member scans,
+        # which a class taken as not closed gets: 3 + 24, 9 + 24, 9 + 8, 3 + 0.  Free sets,
+        # which its poset gets, |t| + 1 one-word ANDs per candidate t: 3 + 6, 9 + 9, 9 + 4,
+        # 3 + 0.  The class's 8 * 7 member-scan floor stays under each cap but 0.
         c = FunctionClass.full_class(3)
-        monkeypatch.setattr(suboplex.classes, "VC_MAX_WORK", 80)
-        assert vc_dimension(c) == 3
-        for cap in (79, 77, 60, 0):
-            monkeypatch.setattr(suboplex.classes, "VC_MAX_WORK", cap)
-            with pytest.raises(CapExceededError, match=f"^VC search is capped at {cap} steps$"):
-                vc_dimension(c)
-            with pytest.raises(CapExceededError):
-                shatter_complex(c)
+        c._intersection_closed = False
+        p = SubsetPoset(3, c.members)
+        for family, total, caps in ((c, 80, (79, 77, 60, 0)), (p, 43, (42, 40, 27, 0))):
+            monkeypatch.setattr(suboplex.shattering, "VC_MAX_WORK", total)
+            assert vc_dimension(family) == 3
+            for cap in caps:
+                monkeypatch.setattr(suboplex.shattering, "VC_MAX_WORK", cap)
+                with pytest.raises(CapExceededError, match=f"^VC search is capped at {cap} steps$"):
+                    vc_dimension(family)
+                with pytest.raises(CapExceededError):
+                    shatter_complex(family)
             assert vc_oracle(c) == 3
+
+    def test_a_class_past_the_member_scan_floor_is_not_scanned_for_closedness(self, monkeypatch):
+        """m members shatter at least m sets, so the member scan takes m(m - 1) steps or more;
+        a class past the cap by that count is refused before its pair scan, a poset is not."""
+        c = FunctionClass.full_class(3)
+        monkeypatch.setattr(suboplex.shattering, "VC_MAX_WORK", 55)  # 8 * 7 = 56
+        monkeypatch.setattr(FunctionClass, "is_intersection_closed", lambda self: 1 // 0)
+        with pytest.raises(CapExceededError, match="^VC search is capped at 55 steps$"):
+            vc_dimension(c)
+        assert vc_dimension(SubsetPoset(3, c.members)) == 3
+
+    def test_free_sets_match_the_member_scan_and_the_oracle(self, rng):
+        deep = 0
+        for _ in range(300):
+            p = random_intersection_closed_poset(rng, max_n=6)
+            if len(p) == 0:
+                continue
+            c = class_from_poset(p) if rng.random() < 0.5 else FunctionClass.from_masks(p.n, p._masks)
+            assert c.is_intersection_closed()
+            levels = shattered_levels(c)
+            assert levels == scanned_levels(c) == shattered_levels(p)
+            assert len(levels) - 1 == vc_dimension(p) == vc_oracle(c)
+            deep += len(levels) > 2
+        assert deep >= 50
+
+    def test_empty_family_has_no_vc_dimension(self):
+        empty = SubsetPoset(3, [])
+        for query in (vc_dimension, shatter_complex, lambda p: is_shattered(p, Subset(3, 0))):
+            with pytest.raises(ValidationError, match="^an empty family shatters no set"):
+                query(empty)
 
 
 class TestShatterComplex:

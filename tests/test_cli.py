@@ -385,6 +385,37 @@ class TestInputSizes:
         out = run_child_within_a_gib("build", "--as", "complex", "--build", "complex:" + doc)
         assert (out.returncode, out.stdout, out.stderr) == (0, doc + "\n", "")
 
+    def test_csp_spec_refuses_a_huge_d_before_the_shift_within_a_gib(self):
+        """A library caller meets the 2^d rule too, before ``1 << d`` is computed."""
+        code = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from suboplex.builders import FormulaClassSpec\n"
+            "from suboplex.errors import ValidationError\n"
+            "try:\n"
+            "    FormulaClassSpec('csp', 10**11, generators=())\n"
+            "except ValidationError as e:\n"
+            "    print(e)\n"
+        )
+        src = str(Path(suboplex.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout == "csp spec needs 2^d <= 64 ground points, got d = 100000000000\n"
+
+    def test_wide_facets_round_trip_in_linear_time_within_a_gib(self):
+        """Facets of up to 10,000 vertices spread up to the mask cap: a facet's mask
+        and its vertex list take time linear in its width (85 s for 1,600 vertices when
+        each set bit cost a copy of the mask)."""
+        top = COMPLEX_MAX_MASK_BITS // 2 - 1
+        for k in (2, 1600, 10_000):
+            facets = [sorted({i * top // (k - 1) for i in range(k)}), [1, 2, top]]
+            doc = json.dumps({"vertices": 2 * (top + 1), "facets": facets})
+            start = time.monotonic()
+            out = run_child_within_a_gib("build", "--as", "complex", "--build", "complex:" + doc)
+            assert (out.returncode, out.stderr) == (0, ""), out.stderr
+            assert sorted(json.loads(out.stdout)["facets"]) == sorted(facets)
+            assert time.monotonic() - start < 5
+
     def test_csp_ground_past_64_points(self, capsys):
         d7, d6 = ({"type": "csp", "d": d, "generators": ["1" * 2**d]} for d in (7, 6))
         assert run(capsys, "build", "--build", "formula:" + json.dumps(d7)) == (
@@ -452,6 +483,36 @@ class TestOtherVerbs:
     def test_vcdim_kcnf_4_2_within_a_gib(self):
         out = run_child_within_a_gib("vcdim", "--build", KCNF42_BUILD)
         assert (out.returncode, out.stdout, out.stderr) == (0, "8\n", "")
+
+    def test_vcdim_of_a_closed_family_past_the_scan_cap_answers(self, tmp_path):
+        """U(6,16) has 6,886 flats: scanning them per candidate set passes the work cap,
+        and free sets take a few mask ANDs per candidate.  Without the empty set the
+        family is not closed, so it is still scanned, and capped."""
+        spec = 'matroid:{"type":"uniform","k":6,"m":16}'
+        for verb, stdout in (("vcdim", "6\n"), ("shatter", None)):
+            out = run_child_within_a_gib(verb, "--build", spec)
+            assert (out.returncode, out.stderr) == (0, ""), out.stderr
+            if stdout is None:  # every 6-set, as a facet
+                assert json.loads(out.stdout)["vc_dimension"] == 6
+                assert len(json.loads(out.stdout)["facets"]) == 8008
+            else:
+                assert out.stdout == stdout
+        flats = json.loads(run_child_within_a_gib("build", "--as", "class", "--build", spec).stdout)
+        flats["functions"].remove("0" * 16)
+        path = tmp_path / "class.json"
+        path.write_text(json.dumps(flats))
+        out = run_child_within_a_gib("vcdim", "--input", str(path))
+        assert (out.returncode, out.stdout) == (2, ""), out.stderr
+        assert out.stderr.splitlines() == ["error: VC search is capped at 100000000 steps"]
+
+    def test_vcdim_and_shatter_refuse_an_empty_family(self, capsys, monkeypatch):
+        """No JSON input loads as an empty poset; one handed to the verbs in-process
+        is refused by each with the same message and exit code."""
+        monkeypatch.setattr(suboplex.cli, "_load_input", lambda args: SubsetPoset(1, []))
+        for argv in (["vcdim"], ["shatter"], ["shatter", "--set", "0"]):
+            assert run(capsys, *argv, "--build", "poset") == (
+                1, "", "error: an empty family shatters no set and has no VC dimension"
+            ), argv
 
     def test_vcdim_of_a_wide_random_class_is_capped_within_a_gib(self, tmp_path):
         """200 random members on 40 points shatter 621,834 five-sets: the search would run
@@ -885,15 +946,22 @@ print(proc.returncode, lines, usage.ru_maxrss // 1024)
 """
 
 
-def test_mobius_all_streams_each_bottom():
+def test_mobius_all_streams_each_bottom(tmp_path):
     """``mobius --all`` writes each bottom's lines as they come, so the 3^11
     lines of U(11,11) never sit in memory together: the call peaks within a
-    few MB of a two-line table (41 MB against 17 MB when it joined them)."""
+    few MB of a two-line table (41 MB against 17 MB when it joined them).
+    Read from JSON, B_k has no group: every orbit is one element, whose
+    representative's row is kept for no other."""
 
-    def run_peak(k):
-        spec = f'matroid:{{"type":"uniform","k":{k},"m":{k}}}'
+    def run_peak(k, source):
+        if source == "--input":
+            path = tmp_path / f"b{k}.json"
+            path.write_text(json.dumps({"n": k, "elements": [format(m, f"0{k}b") for m in range(1 << k)]}))
+            argv = ["--input", str(path)]
+        else:
+            argv = ["--build", f'matroid:{{"type":"uniform","k":{k},"m":{k}}}']
         out = subprocess.run(
-            [sys.executable, "-c", PEAK_RSS, "mobius", "--all", "--build", spec],
+            [sys.executable, "-c", PEAK_RSS, "mobius", "--all", *argv],
             env=CHILD_ENV, capture_output=True, text=True, timeout=120,
         )
         assert out.returncode == 0, out.stderr
@@ -901,7 +969,8 @@ def test_mobius_all_streams_each_bottom():
         assert (code, lines) == (0, 3**k)
         return peak_mb
 
-    assert run_peak(11) - run_peak(1) < 8
+    for source in ("--build", "--input"):
+        assert run_peak(11, source) - run_peak(1, source) < 8, source
 
 
 def test_degenerate_class_warning_reaches_stderr():
@@ -966,8 +1035,8 @@ def test_closed_stdout_pipe_exits_1_without_a_traceback(argv):
 
 def test_uncaught_exception_in_a_verb_keeps_its_traceback():
     code = (
-        "import sys, suboplex.classes, suboplex.cli as cli\n"
-        "suboplex.classes.vc_dimension = lambda c: 1 // 0\n"
+        "import sys, suboplex.shattering, suboplex.cli as cli\n"
+        "suboplex.shattering.vc_dimension = lambda c: 1 // 0\n"
         f"sys.argv[1:] = ['vcdim', '--build', {U11_U23_BUILD!r}]\n"
         "cli.run()\n"
     )

@@ -13,8 +13,15 @@ from types import SimpleNamespace
 import pytest
 
 from bundled import bundled_posets, u11_u23_flats
-from conftest import random_intersection_closed_poset, reference_json_entries, rp2_with_top
+from conftest import (
+    mobius_all_text,
+    random_intersection_closed_poset,
+    reference_json_entries,
+    rp2_with_top,
+    scanned_levels,
+)
 from references import (
+    reference_mobius_all,
     poset_tables,
     reference_interval_entries,
     reference_mobius_entries,
@@ -40,6 +47,9 @@ from suboplex import (
     intersection_closure,
 )
 from suboplex.builders import FormulaClassSpec, UniformMatroid, cube_complex, formula_class
+from suboplex.io import poset_from_json, poset_to_json
+from suboplex.oracles import VC_ORACLE_MAX_WORK, vc_oracle
+from suboplex.shattering import shattered_levels
 
 
 def formula(variant: str, d: int, k: int | None = None) -> SubsetPoset:
@@ -213,3 +223,24 @@ class TestTableValue:
         assert table.get(i, m) == v
         entries.clear()
         assert table.cells == cells and len(table.entries) == len(cells)
+
+
+@pytest.mark.parametrize("name", sorted(POSETS))
+def test_free_sets_match_the_member_scan_and_the_oracle(name):
+    p = POSETS[name]
+    levels = shattered_levels(p)
+    assert p.is_intersection_closed()  # so the search takes free sets
+    assert levels == scanned_levels(p)
+    if (1 << p.n) * (len(p) + 1) <= VC_ORACLE_MAX_WORK:
+        assert len(levels) - 1 == vc_oracle(class_from_poset(p))
+
+
+@pytest.mark.parametrize("name", sorted(POSETS))
+def test_mobius_all_matches_the_per_bottom_reference(monkeypatch, capsys, name):
+    """On the builder's poset, its group kept, and on its JSON dump, which has none."""
+    p = POSETS[name]
+    dump = poset_from_json(poset_to_json(p))
+    assert dump == p and dump.symmetry == ()
+    text = reference_mobius_all(p)
+    assert mobius_all_text(monkeypatch, capsys, p) == text
+    assert mobius_all_text(monkeypatch, capsys, dump) == text

@@ -188,11 +188,14 @@ def test_tracer_installs_every_name_on_the_leanest_call(tmp_path):
     installs every name it installs on ``betti``."""
     spans = tmp_path / "spans.json"
     child(str(ROOT / "perfbench" / "tracer.py"), str(spans), "vcdim", "--build", KCNF32)
-    installed = set(json.loads(spans.read_text())["installed"])
+    data = json.loads(spans.read_text())
+    installed = set(data["installed"])
     code = "import json, layers; print(json.dumps([row[-1] for row in layers.PER_LAYER]))"
     needs = {name for name in json.loads(child("-c", code, cwd=ROOT / "perfbench")) if name}
     assert needs and needs <= installed, sorted(needs - installed)
     assert installed == TRACER_INSTALLS
+    # shattering defines the VC search; classes.vc_dimension is the same object, so its span times it
+    assert "classes.vc" in {span[0] for span in data["spans"]}
 
 
 # A child that records every file it compiles (the ``compile`` audit event)
@@ -246,6 +249,12 @@ def compiled_files(tmp_path, *argv: str) -> set[str]:
     (["betti", "--build", U58, "--field", "3"], {"classes.py", "complexes.py"}),
     (["betti", "--build", U58, "--method", "mobius"], {"classes.py", "complexes.py"}),
     (["hdim", "--build", U58], {"classes.py", "complexes.py"}),
+    # A closed input's VC search runs on its poset's member columns, and a
+    # verb that needs a class but no VC search never compiles the search.
+    (["vcdim", "--build", U58], NEVER_FOR_U58 | {"classes.py", "linalg.py"}),
+    (["extentures", "--build", KCNF32], {"shattering.py"}),
+    (["oracle", "betti", "--build", 'class:{"n":3,"functions":["000","100","010","110","111"]}'],
+     {"shattering.py"}),
     # Uniform flats take no elimination.
     (["build", "--build", U58], {"linalg.py"}),
     (["mobius", "--all", "--build", U58], {"linalg.py"}),
@@ -260,7 +269,7 @@ def test_each_call_compiles_only_the_modules_its_verb_uses(tmp_path, argv, never
 def test_kcnf_vcdim_compiles_ten_modules(tmp_path):
     assert compiled_files(tmp_path, "vcdim", "--build", KCNF32) == {
         "__init__.py", "bitsets.py", "builders/__init__.py", "builders/cells.py",
-        "builders/formulas.py", "classes.py", "cli.py", "errors.py", "io.py", "posets.py",
+        "builders/formulas.py", "cli.py", "errors.py", "io.py", "posets.py", "shattering.py",
     }
 
 
@@ -269,6 +278,7 @@ def test_kcnf_vcdim_compiles_ten_modules(tmp_path):
 MOVED = {
     "suboplex.classes": ["PartialFunction", "SquarefreeMonomial", "monomial"],
     "suboplex.homology": ["interval_homology", "is_interval_cm"],
+    "suboplex.shattering": ["vc_dimension"],
 }
 
 
@@ -330,6 +340,9 @@ IMPORT_GRAPH = [
     "oracles -> linalg",
     "posets -> bitsets",
     "posets -> errors",
+    "shattering -> bitsets",
+    "shattering -> errors",
+    "shattering -> posets",
     "suboplex -> builders",
 ]
 

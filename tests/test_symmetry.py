@@ -35,7 +35,13 @@ from suboplex.builders import (
 )
 from suboplex.io import poset_from_json
 from suboplex.posets import and_closed
-from references import intervals, reference_index_map
+from conftest import mobius_all_text, random_symmetric_poset
+from references import (
+    intervals,
+    reference_index_map,
+    reference_mobius_all,
+    reference_orbit_representatives,
+)
 
 
 def formula(variant: str, d: int, k: int | None = None) -> SubsetPoset:
@@ -298,3 +304,41 @@ def test_and_closed_over_every_index_matches_the_orbit_scan(rng):
     answers = [and_closed(p._masks, p._index, range(len(p))) for p in posets]
     assert answers == [p._scan_intersection_closed() for p in posets]
     assert 50 <= answers.count(False) <= len(posets) - 50
+
+
+def grouped_posets(rng) -> list[SubsetPoset]:
+    """Every builder's poset with each prefix of its generators, and 300 random
+    families under random groups."""
+    posets = []
+    for builder, _ in BUILDERS.values():
+        p = builder()
+        posets += [SubsetPoset(p.n, p.elements, p.symmetry[:k]) for k in range(len(p.symmetry) + 1)]
+    return posets + [random_symmetric_poset(rng) for _ in range(300)]
+
+
+def test_orbit_forest_matches_the_pair_orbits(rng):
+    merged = 0
+    for p in grouped_posets(rng):
+        forest = p._orbit_forest()
+        reps = p.orbit_representatives()
+        assert reps == reference_orbit_representatives(p)
+        orbits = {r: [r] for r in reps}
+        for i, link in enumerate(forest):
+            r = i
+            while not isinstance(link, int):  # walk to the root, checking each edge
+                parent, k = link
+                assert p._automorphisms[k][parent] == r
+                r, link = parent, forest[parent]
+            if r != i:
+                orbits[r].append(i)
+        for r, orbit in orbits.items():
+            assert min(orbit) == r and max(orbit) == forest[r]
+            # an orbit is closed under every generator
+            assert {g[i] for g in p._automorphisms for i in orbit} <= set(orbit)
+        merged += len(reps) < len(p)
+    assert merged >= 200
+
+
+def test_mobius_all_by_orbit_matches_the_per_bottom_reference(monkeypatch, capsys, rng):
+    for p in grouped_posets(rng):
+        assert mobius_all_text(monkeypatch, capsys, p) == reference_mobius_all(p)
